@@ -135,17 +135,6 @@ EnginePick ChooseAutoEngine(std::size_t program_weight,
                             std::size_t num_scenarios,
                             std::size_t max_override_width);
 
-/// The adaptive layout policy (`BatchOptions::Layout::kAuto`, blocked engine
-/// only): selects the SoA `prov::EvalImage` re-layout when the sweep is
-/// large enough to amortize building it — program weight x scenario count at
-/// or above the re-layout threshold (the image build is one O(weight) pass,
-/// the sweep reads the program O(scenarios / lanes) times, so any
-/// non-trivial batch clears it quickly). Deterministic, like
-/// ChooseAutoEngine; both layouts are bit-identical, so the choice never
-/// changes results. Scalar engines always execute AoS regardless.
-prov::EvalLayout ChooseAutoLayout(std::size_t program_weight,
-                                  std::size_t num_scenarios);
-
 /// The cheap per-base half of a plan: the pool-sized base valuation the
 /// scenarios apply on top of, its content fingerprint, and — for the
 /// blocked engine — the block patch tables with value rows bound to that
@@ -222,29 +211,6 @@ class PlanCore {
   /// otherwise.
   std::size_t lanes() const { return lanes_; }
 
-  /// The resolved execution layout — never `BatchOptions::Layout::kAuto`
-  /// (the policy resolves at planning time, like the engine). Always
-  /// `kAoS` for the scalar engines.
-  prov::EvalLayout layout() const { return layout_; }
-
-  /// The cached SoA execution images of the two program sides (null unless
-  /// layout() == kSoA). Built once at Create; grid/stream replays of this
-  /// core reuse them as-is.
-  const std::shared_ptr<const prov::EvalImage>& full_image() const {
-    return full_image_;
-  }
-  const std::shared_ptr<const prov::EvalImage>& compressed_image() const {
-    return compressed_image_;
-  }
-
-  /// Returns a copy of this core with the two execution images replaced — a
-  /// fault-injection hook for verifier tests (an image whose layout tag or
-  /// arrays disagree with the plan must be reported by VerifyPlan). The
-  /// normal path builds images in Create() and never swaps them.
-  std::shared_ptr<const PlanCore> WithImages(
-      std::shared_ptr<const prov::EvalImage> full,
-      std::shared_ptr<const prov::EvalImage> compressed) const;
-
   /// Worker threads the sweep will use (the resolved `num_threads`).
   std::size_t num_threads() const { return num_threads_; }
 
@@ -298,9 +264,6 @@ class PlanCore {
   BatchOptions options_;
   BatchOptions::Sweep engine_ = BatchOptions::Sweep::kSparseDelta;
   std::size_t lanes_ = 1;
-  prov::EvalLayout layout_ = prov::EvalLayout::kAoS;
-  std::shared_ptr<const prov::EvalImage> full_image_;
-  std::shared_ptr<const prov::EvalImage> compressed_image_;
   std::size_t num_threads_ = 1;
   std::size_t num_blocks_ = 0;
   std::size_t frozen_pool_size_ = 0;
@@ -324,13 +287,12 @@ class PlanCore {
 /// Engine/lane decisions are pinned at Create time: every chunk's core is
 /// compiled with the same resolved engine, so a streamed sweep behaves like
 /// one large batch cut into windows (and is bit-identical to it on any
-/// materialized prefix). The `kDenseCopy` legacy engine is not streamable
-/// and is rejected here.
+/// materialized prefix).
 class StreamPlan {
  public:
   /// Resolves the stream-invariant plan half. Validates `options` like
-  /// `PlanCore::Create` (plus `stream_block_scenarios > 0` and the
-  /// no-kDenseCopy rule) and rejects a null session or an empty source.
+  /// `PlanCore::Create` (plus `stream_block_scenarios > 0`) and rejects a
+  /// null session or an empty source.
   static util::Result<std::shared_ptr<const StreamPlan>> Create(
       std::shared_ptr<const CompiledSession> session,
       const ScenarioSource& source, const BatchOptions& options);
@@ -347,7 +309,7 @@ class StreamPlan {
     return session_.lock();
   }
 
-  /// The resolved engine — never `kAuto`, never `kDenseCopy`.
+  /// The resolved engine — never `kAuto`.
   BatchOptions::Sweep engine() const { return resolved_.sweep; }
 
   /// Scenario lanes per block (4/8/16 blocked, 1 scalar).
@@ -366,16 +328,8 @@ class StreamPlan {
   }
   std::uint64_t source_size() const { return source_size_; }
 
-  /// The resolved execution layout — never `kAuto`. Every chunk core is
-  /// compiled with it pinned, so a streamed sweep keeps one layout
-  /// throughout (each window-sized core builds its own window-lifetime
-  /// image; the build is O(program), amortized across the window's
-  /// scenarios exactly like a batch of that size).
-  BatchOptions::Layout layout() const { return resolved_.layout; }
-
   /// The options every chunk core is compiled with: the caller's options
-  /// with `sweep`/`block_lanes`/`layout`/`num_threads` pinned to the
-  /// resolved choice.
+  /// with `sweep`/`block_lanes`/`num_threads` pinned to the resolved choice.
   const BatchOptions& resolved_options() const { return resolved_; }
 
  private:
@@ -440,7 +394,6 @@ class BatchPlan {
   const PlanFingerprint& fingerprint() const { return core_->fingerprint(); }
   BatchOptions::Sweep engine() const { return core_->engine(); }
   std::size_t lanes() const { return core_->lanes(); }
-  prov::EvalLayout layout() const { return core_->layout(); }
   std::size_t num_threads() const { return core_->num_threads(); }
   std::size_t num_scenarios() const { return core_->num_scenarios(); }
   std::size_t num_blocks() const { return core_->num_blocks(); }

@@ -5,16 +5,6 @@
 #include "util/status.h"
 #include "util/str.h"
 
-// Software-prefetch hint for the SoA image kernels: pull the coeff/factor
-// streams a configurable number of cache lines ahead of the running cursors.
-// A pure hint — never faults, never affects results — so the portable no-op
-// fallback is exact.
-#if defined(__GNUC__) || defined(__clang__)
-#define COBRA_PREFETCH_READ(addr) __builtin_prefetch((addr), 0, 0)
-#else
-#define COBRA_PREFETCH_READ(addr) ((void)sizeof(addr))
-#endif
-
 namespace cobra::prov {
 
 namespace {
@@ -49,13 +39,52 @@ inline const double* FindLaneRow(const LaneTableView& table, VarId var) {
   return table.values + static_cast<std::size_t>(it - table.vars) * W;
 }
 
-/// The blocked inner loop at compile-time lane width W. Per factor the base
-/// value is loaded once and broadcast, overridden variables read their
-/// per-lane row, and the W accumulators advance in lockstep — each lane runs
-/// the scalar path's exact operation sequence (prod = coeff, prod *= value
-/// per factor, sum += prod), so per-lane results are bit-identical to the
-/// scalar sparse scan while one pass over poly_starts/term_starts/coeffs/
-/// factors serves W scenarios.
+/// Adds one term's product to the W lane sums, for the term whose factors
+/// are factors[f, f_end). Each lane runs the scalar path's exact operation
+/// sequence (prod = coeff, prod *= value per factor, sum += prod), so
+/// per-lane results are bit-identical to the scalar sparse scan. Until the
+/// first factor some lane overrides, every lane multiplies the same base
+/// values, so that shared prefix is one scalar product instead of W equal
+/// lane products; most terms touch no overridden factor at all and never
+/// leave it.
+template <int W>
+inline void AddTermToLanes(double coeff, const VarId* factors, std::uint32_t f,
+                           std::uint32_t f_end, const double* base,
+                           const LaneTableView& table, double* sum) {
+  double shared = coeff;
+  const double* row = nullptr;
+  for (; f < f_end; ++f) {
+    row = FindLaneRow<W>(table, factors[f]);
+    if (row != nullptr) break;
+    shared *= base[factors[f]];
+  }
+  if (row == nullptr) {
+#pragma omp simd
+    for (int l = 0; l < W; ++l) sum[l] += shared;
+    return;
+  }
+  double prod[W];
+#pragma omp simd
+  for (int l = 0; l < W; ++l) prod[l] = shared * row[l];
+  for (++f; f < f_end; ++f) {
+    const VarId var = factors[f];
+    row = FindLaneRow<W>(table, var);
+    if (row != nullptr) {
+#pragma omp simd
+      for (int l = 0; l < W; ++l) prod[l] *= row[l];
+    } else {
+      const double v = base[var];
+#pragma omp simd
+      for (int l = 0; l < W; ++l) prod[l] *= v;
+    }
+  }
+#pragma omp simd
+  for (int l = 0; l < W; ++l) sum[l] += prod[l];
+}
+
+/// The blocked kernel at compile-time lane width W: one pass over
+/// poly_starts/term_starts/coeffs/factors serves W scenarios, and lane l's
+/// value of polynomial p lands in out[l * lane_stride + p].
 template <int W>
 void RunBlockedRange(const std::uint32_t* poly_starts,
                      const std::uint32_t* term_starts, const double* coeffs,
@@ -68,24 +97,8 @@ void RunBlockedRange(const std::uint32_t* poly_starts,
 #pragma omp simd
     for (int l = 0; l < W; ++l) sum[l] = 0.0;
     for (std::uint32_t t = poly_starts[p]; t < poly_starts[p + 1]; ++t) {
-      double prod[W];
-      const double c = coeffs[t];
-#pragma omp simd
-      for (int l = 0; l < W; ++l) prod[l] = c;
-      for (std::uint32_t f = term_starts[t]; f < term_starts[t + 1]; ++f) {
-        const VarId var = factors[f];
-        const double* row = FindLaneRow<W>(table, var);
-        if (row != nullptr) {
-#pragma omp simd
-          for (int l = 0; l < W; ++l) prod[l] *= row[l];
-        } else {
-          const double v = base[var];
-#pragma omp simd
-          for (int l = 0; l < W; ++l) prod[l] *= v;
-        }
-      }
-#pragma omp simd
-      for (int l = 0; l < W; ++l) sum[l] += prod[l];
+      AddTermToLanes<W>(coeffs[t], factors, term_starts[t], term_starts[t + 1],
+                        base, table, sum);
     }
     for (std::size_t l = 0; l < num_lanes; ++l) {
       out[l * lane_stride + p] = sum[l];
@@ -107,119 +120,8 @@ void RunBlockedTermRange(const std::uint32_t* term_starts,
 #pragma omp simd
   for (int l = 0; l < W; ++l) sum[l] = 0.0;
   for (std::size_t t = term_begin; t < term_end; ++t) {
-    double prod[W];
-    const double c = coeffs[t];
-#pragma omp simd
-    for (int l = 0; l < W; ++l) prod[l] = c;
-    for (std::uint32_t f = term_starts[t]; f < term_starts[t + 1]; ++f) {
-      const VarId var = factors[f];
-      const double* row = FindLaneRow<W>(table, var);
-      if (row != nullptr) {
-#pragma omp simd
-        for (int l = 0; l < W; ++l) prod[l] *= row[l];
-      } else {
-        const double v = base[var];
-#pragma omp simd
-        for (int l = 0; l < W; ++l) prod[l] *= v;
-      }
-    }
-#pragma omp simd
-    for (int l = 0; l < W; ++l) sum[l] += prod[l];
-  }
-  for (std::size_t l = 0; l < num_lanes; ++l) {
-    partials[l * lane_stride] = sum[l];
-  }
-}
-
-// Doubles / VarIds per 64-byte cache line, for prefetch-distance math.
-constexpr std::size_t kDoublesPerLine = util::kCacheLineBytes / sizeof(double);
-constexpr std::size_t kVarIdsPerLine = util::kCacheLineBytes / sizeof(VarId);
-
-/// SoA-image flavor of RunBlockedRange: identical operation sequence, but
-/// the loops advance running cursors (t over terms, f over factors) through
-/// the fused count streams instead of re-reading the boundary arrays per
-/// term, and optionally software-prefetch the coeff/factor streams `pf`
-/// cache lines ahead of the cursors. Prefetch targets may point past the end
-/// of the arrays — the hint never faults and never affects results.
-template <int W>
-void RunBlockedRangeImage(const std::uint32_t* poly_term_counts,
-                          const std::uint32_t* term_factor_counts,
-                          const double* coeffs, const VarId* factors,
-                          std::uint32_t t, std::uint32_t f, const double* base,
-                          const LaneTableView& table, std::size_t poly_begin,
-                          std::size_t poly_end, std::size_t num_lanes,
-                          double* out, std::size_t lane_stride,
-                          std::size_t pf) {
-  for (std::size_t p = poly_begin; p < poly_end; ++p) {
-    double sum[W];
-#pragma omp simd
-    for (int l = 0; l < W; ++l) sum[l] = 0.0;
-    for (std::uint32_t tc = poly_term_counts[p]; tc > 0; --tc, ++t) {
-      if (pf != 0) {
-        COBRA_PREFETCH_READ(coeffs + t + pf * kDoublesPerLine);
-        COBRA_PREFETCH_READ(factors + f + pf * kVarIdsPerLine);
-      }
-      double prod[W];
-      const double c = coeffs[t];
-#pragma omp simd
-      for (int l = 0; l < W; ++l) prod[l] = c;
-      for (std::uint32_t fc = term_factor_counts[t]; fc > 0; --fc, ++f) {
-        const VarId var = factors[f];
-        const double* row = FindLaneRow<W>(table, var);
-        if (row != nullptr) {
-#pragma omp simd
-          for (int l = 0; l < W; ++l) prod[l] *= row[l];
-        } else {
-          const double v = base[var];
-#pragma omp simd
-          for (int l = 0; l < W; ++l) prod[l] *= v;
-        }
-      }
-#pragma omp simd
-      for (int l = 0; l < W; ++l) sum[l] += prod[l];
-    }
-    for (std::size_t l = 0; l < num_lanes; ++l) {
-      out[l * lane_stride + p] = sum[l];
-    }
-  }
-}
-
-/// SoA-image flavor of RunBlockedTermRange: running factor cursor + count
-/// stream + optional prefetch, same bit-identity contract.
-template <int W>
-void RunBlockedTermRangeImage(const std::uint32_t* term_factor_counts,
-                              const double* coeffs, const VarId* factors,
-                              std::uint32_t f, const double* base,
-                              const LaneTableView& table,
-                              std::size_t term_begin, std::size_t term_end,
-                              std::size_t num_lanes, double* partials,
-                              std::size_t lane_stride, std::size_t pf) {
-  double sum[W];
-#pragma omp simd
-  for (int l = 0; l < W; ++l) sum[l] = 0.0;
-  for (std::size_t t = term_begin; t < term_end; ++t) {
-    if (pf != 0) {
-      COBRA_PREFETCH_READ(coeffs + t + pf * kDoublesPerLine);
-      COBRA_PREFETCH_READ(factors + f + pf * kVarIdsPerLine);
-    }
-    double prod[W];
-    const double c = coeffs[t];
-#pragma omp simd
-    for (int l = 0; l < W; ++l) prod[l] = c;
-    for (std::uint32_t fc = term_factor_counts[t]; fc > 0; --fc, ++f) {
-      const VarId var = factors[f];
-      const double* row = FindLaneRow<W>(table, var);
-      if (row != nullptr) {
-#pragma omp simd
-        for (int l = 0; l < W; ++l) prod[l] *= row[l];
-      } else {
-        const double v = base[var];
-#pragma omp simd
-        for (int l = 0; l < W; ++l) prod[l] *= v;
-      }
-    }
-#pragma omp simd
-    for (int l = 0; l < W; ++l) sum[l] += prod[l];
+    AddTermToLanes<W>(coeffs[t], factors, term_starts[t], term_starts[t + 1],
+                      base, table, sum);
   }
   for (std::size_t l = 0; l < num_lanes; ++l) {
     partials[l * lane_stride] = sum[l];
@@ -661,114 +563,6 @@ std::size_t EvalProgram::DominantPoly(std::size_t min_terms) const {
   if (best == n || best_weight * 2.0 <= total) return n;
   const std::size_t terms = poly_starts_[best + 1] - poly_starts_[best];
   return terms >= min_terms ? best : n;
-}
-
-const char* EvalLayoutName(EvalLayout layout) {
-  switch (layout) {
-    case EvalLayout::kAoS:
-      return "AoS";
-    case EvalLayout::kSoA:
-      return "SoA";
-  }
-  return "?";
-}
-
-EvalImage EvalImage::Build(const EvalProgram& program) {
-  EvalImage img;
-  const std::vector<std::uint32_t>& ps = program.poly_starts();
-  const std::vector<std::uint32_t>& ts = program.term_starts();
-  img.poly_starts_.assign(ps.begin(), ps.end());
-  img.term_starts_.assign(ts.begin(), ts.end());
-  img.poly_term_counts_.resize(ps.size() - 1);
-  for (std::size_t p = 0; p + 1 < ps.size(); ++p) {
-    img.poly_term_counts_[p] = ps[p + 1] - ps[p];
-  }
-  img.term_factor_counts_.resize(ts.size() - 1);
-  for (std::size_t t = 0; t + 1 < ts.size(); ++t) {
-    img.term_factor_counts_[t] = ts[t + 1] - ts[t];
-  }
-  img.coeffs_.assign(program.coeffs().begin(), program.coeffs().end());
-  img.factors_.assign(program.factors().begin(), program.factors().end());
-  img.min_valuation_size_ = program.MinValuationSize();
-  return img;
-}
-
-EvalImage EvalImage::WithLayoutTag(EvalLayout tag) const {
-  EvalImage copy = *this;
-  copy.layout_ = tag;
-  return copy;
-}
-
-void EvalImage::EvalRangeBlocked(const Valuation& base,
-                                 const BlockOverrides& block,
-                                 std::size_t poly_begin, std::size_t poly_end,
-                                 double* out, std::size_t lane_stride,
-                                 std::size_t prefetch_distance) const {
-  COBRA_CHECK_MSG(base.size() >= min_valuation_size_,
-                  "EvalImage::EvalRangeBlocked: valuation too small");
-  COBRA_CHECK_MSG(poly_begin <= poly_end && poly_end <= NumPolys(),
-                  "EvalImage::EvalRangeBlocked: bad poly range");
-  const double* values = base.values().data();
-  const LaneTableView table{
-      block.vars_.data(), block.values_.data(),
-      block.dense_index_.empty() ? nullptr : block.dense_index_.data(),
-      block.vars_.size(), block.lo_, block.hi_};
-  // Seed the running cursors for O(1) entry at an arbitrary tile boundary.
-  const std::uint32_t t0 = poly_starts_[poly_begin];
-  const std::uint32_t f0 = term_starts_[t0];
-  if (block.width_ == 4) {
-    RunBlockedRangeImage<4>(poly_term_counts_.data(),
-                            term_factor_counts_.data(), coeffs_.data(),
-                            factors_.data(), t0, f0, values, table, poly_begin,
-                            poly_end, block.num_lanes_, out, lane_stride,
-                            prefetch_distance);
-  } else if (block.width_ == 8) {
-    RunBlockedRangeImage<8>(poly_term_counts_.data(),
-                            term_factor_counts_.data(), coeffs_.data(),
-                            factors_.data(), t0, f0, values, table, poly_begin,
-                            poly_end, block.num_lanes_, out, lane_stride,
-                            prefetch_distance);
-  } else {
-    RunBlockedRangeImage<16>(poly_term_counts_.data(),
-                             term_factor_counts_.data(), coeffs_.data(),
-                             factors_.data(), t0, f0, values, table,
-                             poly_begin, poly_end, block.num_lanes_, out,
-                             lane_stride, prefetch_distance);
-  }
-}
-
-void EvalImage::EvalTermRangeBlocked(const Valuation& base,
-                                     const BlockOverrides& block,
-                                     std::size_t term_begin,
-                                     std::size_t term_end, double* partials,
-                                     std::size_t lane_stride,
-                                     std::size_t prefetch_distance) const {
-  COBRA_CHECK_MSG(base.size() >= min_valuation_size_,
-                  "EvalImage::EvalTermRangeBlocked: valuation too small");
-  COBRA_CHECK_MSG(term_begin <= term_end && term_end <= NumTerms(),
-                  "EvalImage::EvalTermRangeBlocked: bad term range");
-  const double* values = base.values().data();
-  const LaneTableView table{
-      block.vars_.data(), block.values_.data(),
-      block.dense_index_.empty() ? nullptr : block.dense_index_.data(),
-      block.vars_.size(), block.lo_, block.hi_};
-  const std::uint32_t f0 = term_starts_[term_begin];
-  if (block.width_ == 4) {
-    RunBlockedTermRangeImage<4>(term_factor_counts_.data(), coeffs_.data(),
-                                factors_.data(), f0, values, table, term_begin,
-                                term_end, block.num_lanes_, partials,
-                                lane_stride, prefetch_distance);
-  } else if (block.width_ == 8) {
-    RunBlockedTermRangeImage<8>(term_factor_counts_.data(), coeffs_.data(),
-                                factors_.data(), f0, values, table, term_begin,
-                                term_end, block.num_lanes_, partials,
-                                lane_stride, prefetch_distance);
-  } else {
-    RunBlockedTermRangeImage<16>(term_factor_counts_.data(), coeffs_.data(),
-                                 factors_.data(), f0, values, table,
-                                 term_begin, term_end, block.num_lanes_,
-                                 partials, lane_stride, prefetch_distance);
-  }
 }
 
 }  // namespace cobra::prov

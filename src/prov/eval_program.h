@@ -6,7 +6,6 @@
 
 #include "prov/poly_set.h"
 #include "prov/valuation.h"
-#include "util/aligned.h"
 #include "util/status.h"
 
 namespace cobra::prov {
@@ -74,7 +73,6 @@ class BlockOverrides {
 
  private:
   friend class EvalProgram;
-  friend class EvalImage;
   friend BlockOverrides MakeBlockOverridesSkeleton(const OverrideSpan* lanes,
                                                    std::size_t num_lanes);
   friend BlockOverrides RebindBlockOverrides(const BlockOverrides& block,
@@ -134,9 +132,9 @@ BlockOverrides MakeBlockOverrides(const Valuation& base,
 /// for each assignment wastes cache; `EvalProgram` flattens the whole set
 /// into three contiguous arrays (term boundaries, coefficients, variable
 /// factors with exponents expanded) so one valuation is a single linear
-/// scan. The speedups reported in EXPERIMENTS.md are measured with this
-/// evaluator for both full and compressed provenance, which makes the
-/// full-vs-compressed comparison an apples-to-apples size comparison.
+/// scan. The benches time both full and compressed provenance with this
+/// evaluator, which makes the full-vs-compressed comparison an
+/// apples-to-apples size comparison.
 ///
 /// An `EvalProgram` is immutable after construction and holds no mutable
 /// state during evaluation, so one instance may be shared by any number of
@@ -302,122 +300,6 @@ class EvalProgram {
   std::vector<double> coeffs_;
   // Variable ids, with exponents expanded (x^3 appears three times).
   std::vector<VarId> factors_;
-  std::size_t min_valuation_size_ = 0;
-};
-
-/// Memory layout a plan executes a compiled program in. `kAoS` is the
-/// compile-time layout of `EvalProgram` itself (the four flattened arrays,
-/// allocator-aligned, boundary arrays indexed per term). `kSoA` is the
-/// plan-time `EvalImage` re-layout: cache-line-aligned copies of the
-/// factor/coeff arrays plus fused sequential count streams, so the blocked
-/// kernels walk running cursors instead of re-reading boundary indices.
-/// Which layout a plan uses is chosen by `core::PlanCore` the same way
-/// `kAuto` picks engine and lane count; the tag travels with the image so
-/// the static verifier can detect a plan/image mismatch.
-enum class EvalLayout : std::uint8_t {
-  kAoS = 0,  ///< EvalProgram's own arrays (no image built).
-  kSoA = 1,  ///< Plan-time aligned re-layout (EvalImage).
-};
-
-/// Human-readable name of a layout ("AoS" / "SoA"); "?" for corrupt values.
-const char* EvalLayoutName(EvalLayout layout);
-
-/// Plan-time structure-of-arrays execution image of an `EvalProgram`.
-///
-/// The image re-arranges the program for the scenario-blocked kernels:
-/// coefficients and factors are copied into 64-byte-aligned arrays, and the
-/// per-poly / per-term boundary arrays are augmented with *count* streams
-/// (terms per polynomial, factors per term) so the hot loops advance running
-/// cursors through four sequential streams instead of indexing boundary
-/// arrays per term. The original boundary arrays are kept for random tile
-/// entry (a tile starting at poly p seeds its cursors in O(1)). Building an
-/// image is a single O(program) pass; `PlanCore` builds it once per plan and
-/// caches it, so grid/stream replays pay the re-layout exactly once.
-///
-/// Bit-identity contract: the image kernels execute the exact operation
-/// sequence of `EvalProgram::EvalRangeBlocked()` / `EvalTermRangeBlocked()`
-/// (prod = coeff; prod *= value per factor, in compiled order; sum += prod),
-/// so per-lane results are bit-identical to the scalar engines — only the
-/// memory traffic changes. Optional software prefetch (`prefetch_distance`
-/// cache lines ahead of the coeff/factor cursors) is a pure hint and cannot
-/// affect results.
-///
-/// Immutable after Build(); holds no mutable state during evaluation, so one
-/// image may be shared by any number of threads concurrently.
-class EvalImage {
- public:
-  /// Builds the SoA image of `program`. The image holds copies of the
-  /// compiled arrays, so it stays valid independently of `program`'s
-  /// lifetime (VarIds must stay stable, as for the program itself).
-  static EvalImage Build(const EvalProgram& program);
-
-  /// Returns a copy of this image with the layout tag replaced — a
-  /// fault-injection hook for verifier tests (a tag that disagrees with the
-  /// owning plan must be reported by VerifyPlan); never used on the normal
-  /// build path, which always tags `kSoA`.
-  EvalImage WithLayoutTag(EvalLayout tag) const;
-
-  /// The image's layout tag (`kSoA` for every image built by Build()).
-  EvalLayout layout() const { return layout_; }
-
-  /// Image form of EvalProgram::EvalRangeBlocked(): same arguments, same
-  /// bit-identity contract, plus `prefetch_distance` — how many 64-byte
-  /// cache lines ahead of the coeff/factor cursors to issue software
-  /// prefetches (0 disables prefetching).
-  void EvalRangeBlocked(const Valuation& base, const BlockOverrides& block,
-                        std::size_t poly_begin, std::size_t poly_end,
-                        double* out, std::size_t lane_stride,
-                        std::size_t prefetch_distance) const;
-
-  /// Image form of EvalProgram::EvalTermRangeBlocked(): same arguments and
-  /// bit-identity contract; `prefetch_distance` as in EvalRangeBlocked().
-  void EvalTermRangeBlocked(const Valuation& base, const BlockOverrides& block,
-                            std::size_t term_begin, std::size_t term_end,
-                            double* partials, std::size_t lane_stride,
-                            std::size_t prefetch_distance) const;
-
-  /// Number of polynomials / terms and the valuation-size contract — all
-  /// equal to the source program's (the verifier cross-checks them).
-  std::size_t NumPolys() const { return poly_starts_.size() - 1; }
-  std::size_t NumTerms() const { return coeffs_.size(); }
-  std::size_t MinValuationSize() const { return min_valuation_size_; }
-
-  /// @name Re-layout export (static verifier).
-  /// The verifier re-derives every array from the source program: the
-  /// boundary/coeff/factor arrays must match the program's bitwise, and the
-  /// count streams must equal the boundary arrays' first differences.
-  /// @{
-  const util::AlignedVector<std::uint32_t>& poly_starts() const {
-    return poly_starts_;
-  }
-  const util::AlignedVector<std::uint32_t>& term_starts() const {
-    return term_starts_;
-  }
-  const util::AlignedVector<std::uint32_t>& poly_term_counts() const {
-    return poly_term_counts_;
-  }
-  const util::AlignedVector<std::uint32_t>& term_factor_counts() const {
-    return term_factor_counts_;
-  }
-  const util::AlignedVector<double>& coeffs() const { return coeffs_; }
-  const util::AlignedVector<VarId>& factors() const { return factors_; }
-  /// @}
-
- private:
-  EvalImage() = default;
-
-  EvalLayout layout_ = EvalLayout::kSoA;
-  // Boundary copies for O(1) random tile entry (cursor seeding).
-  util::AlignedVector<std::uint32_t> poly_starts_;
-  util::AlignedVector<std::uint32_t> term_starts_;
-  // Fused sequential streams: poly_term_counts_[p] terms in polynomial p,
-  // term_factor_counts_[t] factors in term t — the first differences of the
-  // boundary arrays, consumed strictly in order by the kernels.
-  util::AlignedVector<std::uint32_t> poly_term_counts_;
-  util::AlignedVector<std::uint32_t> term_factor_counts_;
-  // Cache-line-aligned copies of the program's coeff/factor arrays.
-  util::AlignedVector<double> coeffs_;
-  util::AlignedVector<VarId> factors_;
   std::size_t min_valuation_size_ = 0;
 };
 

@@ -26,9 +26,9 @@ struct Term {
 ///
 /// This is the symbolic query result of the paper — an element of the
 /// semiring N[X] (extended to rational coefficients by the aggregate
-/// semimodule, see `semiring/`). Terms are kept in canonical form: distinct
-/// monomials, sorted deterministically, no zero coefficients. Equality is
-/// therefore structural equality of the mathematical object.
+/// semimodule). Terms are kept in canonical form: distinct monomials,
+/// sorted deterministically, no zero coefficients. Equality is therefore
+/// structural equality of the mathematical object.
 class Polynomial {
  public:
   /// The zero polynomial.

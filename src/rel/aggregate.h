@@ -36,8 +36,8 @@ struct AggSpec {
 /// Group keys are stored as a plain table (one row per group); each
 /// symbolic aggregate cell is a provenance polynomial from the aggregate
 /// semimodule: `SUM(e)` over a group = `Σ_rows annotation(row) · e(row)`,
-/// normalized in N[X] (see `semiring/semimodule.h`). Numeric-only
-/// aggregates (AVG/MIN/MAX) are stored as constants.
+/// normalized in N[X]. Numeric-only aggregates (AVG/MIN/MAX) are stored as
+/// constants.
 class GroupedResult {
  public:
   GroupedResult(Schema key_schema, std::vector<AggSpec> specs)

@@ -179,8 +179,8 @@ void CobraServer::Stop() {
   }
   {
     std::lock_guard<std::mutex> lock(conns_mu_);
-    for (std::thread& reader : readers_) {
-      if (reader.joinable()) reader.join();
+    for (Reader& reader : readers_) {
+      if (reader.thread.joinable()) reader.thread.join();
     }
     readers_.clear();
   }
@@ -236,9 +236,27 @@ void CobraServer::AcceptLoop() {
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     auto conn = std::make_shared<Connection>(fd);
     std::lock_guard<std::mutex> lock(conns_mu_);
+    // Reap before adding: join readers that have finished (the join returns
+    // at once) and forget connections nobody holds any more.
+    readers_.remove_if([](Reader& reader) {
+      if (!reader.done.load(std::memory_order_acquire)) return false;
+      reader.thread.join();
+      return true;
+    });
+    std::erase_if(conns_, [](const std::weak_ptr<Connection>& weak) {
+      return weak.expired();
+    });
     conns_.push_back(conn);
-    readers_.emplace_back(
-        [this, conn]() mutable { ConnectionLoop(std::move(conn)); });
+    Reader& reader = readers_.emplace_back();
+    reader.thread = std::thread([this, conn, &reader]() mutable {
+      ConnectionLoop(conn);
+      // Flag before releasing the connection: a client that waits for the
+      // server's close before reconnecting always finds this reader
+      // joinable on the next accept, so its stack and allocator arena are
+      // reused instead of a new thread overlapping it.
+      reader.done.store(true, std::memory_order_release);
+      conn.reset();
+    });
   }
 }
 

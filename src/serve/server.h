@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -132,6 +133,14 @@ class CobraServer {
   struct PendingRequest;
   struct Inflight;
 
+  /// One connection's reader thread. `done` flips when the thread is about
+  /// to exit, so the acceptor can join and drop it instead of holding its
+  /// stack until Stop().
+  struct Reader {
+    std::thread thread;
+    std::atomic<bool> done{false};
+  };
+
   using Clock = std::chrono::steady_clock;
 
   /// What a request executes against: one coherent published version.
@@ -180,8 +189,12 @@ class CobraServer {
   std::condition_variable queue_cv_;
   std::deque<std::unique_ptr<PendingRequest>> queue_;
 
+  /// Guards conns_ and readers_. Finished readers and expired connection
+  /// handles are reaped on every accept, so both stay bounded by the live
+  /// connection count rather than by every connection ever accepted.
   std::mutex conns_mu_;
   std::vector<std::weak_ptr<Connection>> conns_;
+  std::list<Reader> readers_;
 
   /// Coalescing table: (scenario fingerprint, snapshot version) → the
   /// in-flight execution other identical requests wait on.
@@ -192,7 +205,6 @@ class CobraServer {
 
   std::thread acceptor_;
   std::vector<std::thread> workers_;
-  std::vector<std::thread> readers_;
 
   std::atomic<std::uint64_t> accepted_{0};
   std::atomic<std::uint64_t> completed_{0};

@@ -312,79 +312,6 @@ VerifyReport VerifyProgram(const core::EvalProgramImage& image,
   return report;
 }
 
-namespace {
-
-/// Checks one SoA execution image against the compiled program it claims to
-/// mirror: the layout tag must agree with the plan, the boundary and payload
-/// arrays must re-derive bitwise from the program, and the fused count
-/// streams must be the first differences of the boundary arrays. The image
-/// is everything the SoA kernels read, so any drift here is silent
-/// wrong-answers at sweep time.
-void VerifyPlanImage(const prov::EvalImage* image,
-                     const prov::EvalProgram& program,
-                     std::string_view artifact, VerifyReport* out) {
-  VerifyReport& report = *out;
-  if (image == nullptr) {
-    report.AddError(artifact, 0, "SoA plan is missing its execution image");
-    return;
-  }
-  if (image->layout() != prov::EvalLayout::kSoA) {
-    report.AddError(artifact, 0,
-                    util::StrFormat("image layout tag %s disagrees with the "
-                                    "plan layout SoA",
-                                    prov::EvalLayoutName(image->layout())));
-  }
-  const auto& ps = program.poly_starts();
-  const auto& ts = program.term_starts();
-  const bool boundaries_ok =
-      image->poly_starts().size() == ps.size() &&
-      std::equal(ps.begin(), ps.end(), image->poly_starts().begin()) &&
-      image->term_starts().size() == ts.size() &&
-      std::equal(ts.begin(), ts.end(), image->term_starts().begin());
-  if (!boundaries_ok) {
-    report.AddError(artifact, 0,
-                    "image boundary arrays do not re-derive from the "
-                    "compiled program");
-    return;  // The count-stream checks below would only cascade.
-  }
-  bool counts_ok = image->poly_term_counts().size() + 1 == ps.size() &&
-                   image->term_factor_counts().size() + 1 == ts.size();
-  for (std::size_t p = 0; counts_ok && p + 1 < ps.size(); ++p) {
-    counts_ok = image->poly_term_counts()[p] == ps[p + 1] - ps[p];
-  }
-  for (std::size_t t = 0; counts_ok && t + 1 < ts.size(); ++t) {
-    counts_ok = image->term_factor_counts()[t] == ts[t + 1] - ts[t];
-  }
-  if (!counts_ok) {
-    report.AddError(artifact, 0,
-                    "image count streams are not the first differences of "
-                    "the boundary arrays");
-  }
-  const auto& coeffs = program.coeffs();
-  bool payload_ok = image->coeffs().size() == coeffs.size();
-  for (std::size_t t = 0; payload_ok && t < coeffs.size(); ++t) {
-    payload_ok = SameBits(image->coeffs()[t], coeffs[t]);
-  }
-  const auto& factors = program.factors();
-  payload_ok = payload_ok && image->factors().size() == factors.size() &&
-               std::equal(factors.begin(), factors.end(),
-                          image->factors().begin());
-  if (!payload_ok) {
-    report.AddError(artifact, 0,
-                    "image coefficient/factor arrays do not re-derive "
-                    "bitwise from the compiled program");
-  }
-  if (image->MinValuationSize() != program.MinValuationSize()) {
-    report.AddError(artifact, 0,
-                    util::StrFormat("image MinValuationSize %zu disagrees "
-                                    "with the program (%zu)",
-                                    image->MinValuationSize(),
-                                    program.MinValuationSize()));
-  }
-}
-
-}  // namespace
-
 VerifyReport VerifyPlan(const core::BatchPlan& plan,
                         const core::CompiledSession& session,
                         const core::ScenarioSet* scenarios) {
@@ -423,37 +350,6 @@ VerifyReport VerifyPlan(const core::BatchPlan& plan,
   }
   if (plan.num_threads() == 0) {
     report.AddError("plan", 0, "num_threads is 0");
-  }
-
-  // Layout and execution images: the layout must be AoS for the scalar
-  // engines (they have no image kernels), the prefetch knob must be inside
-  // the validated range, and the SoA images must exist exactly when the
-  // plan says so — with the matching layout tag and arrays that re-derive
-  // from the session's compiled programs (the kernels read nothing else).
-  const prov::EvalLayout layout = plan.layout();
-  if (!blocked && layout != prov::EvalLayout::kAoS) {
-    report.AddError("plan", 0,
-                    util::StrFormat("scalar engine with %s layout (want AoS)",
-                                    prov::EvalLayoutName(layout)));
-  }
-  if (plan.options().prefetch_distance > 64) {
-    report.AddError("plan", 0,
-                    util::StrFormat("prefetch distance %zu out of range "
-                                    "(accepted: 0 to 64 cache lines)",
-                                    plan.options().prefetch_distance));
-  }
-  if (layout == prov::EvalLayout::kSoA) {
-    VerifyPlanImage(plan.core()->full_image().get(),
-                    session.sweep_full_program(), "plan full image", &report);
-    VerifyPlanImage(plan.core()->compressed_image().get(),
-                    session.compressed_program(), "plan compressed image",
-                    &report);
-  } else {
-    if (plan.core()->full_image() != nullptr ||
-        plan.core()->compressed_image() != nullptr) {
-      report.AddError("plan", 0,
-                      "AoS plan carries SoA execution images");
-    }
   }
 
   // Scenario blocks: the sweep schedules num_blocks × slices tiles, so a
@@ -689,9 +585,8 @@ VerifyReport VerifyPlan(const core::BatchPlan& plan,
   }
 
   // Tile schedules partition the (scenario-block × poly-range) space
-  // exactly once per side. The dense-copy full side scans full_program;
-  // the sparse/blocked full side scans the meta-indirected program — both
-  // have the same shape, so verifying against sweep_full_program is exact.
+  // exactly once per side. The full side scans the meta-indirected
+  // sweep_full_program, so the full schedule is verified against it.
   VerifySchedule(plan.full_schedule(), session.sweep_full_program(),
                  "plan full schedule", &report);
   VerifySchedule(plan.compressed_schedule(), session.compressed_program(),

@@ -264,14 +264,11 @@ TEST_F(AssignBatchTest, BlockLanesOutsideSupportedWidthsRejected) {
     ExpectIdentical(sequential, *result);
   }
 
-  // The knob is a blocked-kernel parameter: the scalar engines ignore it.
-  for (BatchOptions::Sweep sweep :
-       {BatchOptions::Sweep::kSparseDelta, BatchOptions::Sweep::kDenseCopy}) {
-    BatchOptions options;
-    options.sweep = sweep;
-    options.block_lanes = 3;
-    EXPECT_TRUE(session.AssignBatch(scenarios, options).ok());
-  }
+  // The knob is a blocked-kernel parameter: the scalar engine ignores it.
+  BatchOptions scalar;
+  scalar.sweep = BatchOptions::Sweep::kSparseDelta;
+  scalar.block_lanes = 3;
+  EXPECT_TRUE(session.AssignBatch(scenarios, scalar).ok());
 }
 
 TEST_F(AssignBatchTest, DuplicateScenarioNamesRejectedAtAddTime) {
@@ -314,34 +311,6 @@ TEST_F(AssignBatchTest, AddHandleStaysValidAcrossLaterAdds) {
   EXPECT_EQ(set.scenario(0).deltas[1].var, "Special");
   EXPECT_DOUBLE_EQ(set.scenario(0).deltas[1].value, 0.75);
   EXPECT_EQ(first.index(), 0u);
-}
-
-TEST_F(AssignBatchTest, DenseCopySweepMatchesSparseBitForBit) {
-  Session session;
-  Load(&session);
-  session.SetBound(10);
-  session.Compress().ValueOrDie();
-  ScenarioSet scenarios = MakeScenarios(session, 9);
-  // A repeated delta on one variable: last value must win in both engines.
-  scenarios.Add("repeat").ValueOrDie().Set("Business", 1.4).Set("Business", 0.6);
-
-  BatchOptions sparse;
-  sparse.sweep = BatchOptions::Sweep::kSparseDelta;
-  BatchOptions dense;
-  dense.sweep = BatchOptions::Sweep::kDenseCopy;
-  BatchAssignReport a = session.AssignBatch(scenarios, sparse).ValueOrDie();
-  BatchAssignReport b = session.AssignBatch(scenarios, dense).ValueOrDie();
-  ASSERT_EQ(a.reports.size(), b.reports.size());
-  for (std::size_t i = 0; i < a.reports.size(); ++i) {
-    const auto& ra = a.reports[i].delta.rows;
-    const auto& rb = b.reports[i].delta.rows;
-    ASSERT_EQ(ra.size(), rb.size());
-    for (std::size_t r = 0; r < ra.size(); ++r) {
-      EXPECT_EQ(ra[r].full, rb[r].full) << "scenario " << i << " row " << r;
-      EXPECT_EQ(ra[r].compressed, rb[r].compressed)
-          << "scenario " << i << " row " << r;
-    }
-  }
 }
 
 TEST_F(AssignBatchTest, IntraProgramPartitioningDoesNotChangeResults) {

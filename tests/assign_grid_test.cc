@@ -99,7 +99,7 @@ TEST(AssignGridTest, CellsBitIdenticalToPerBaseAssignBatchAcrossEngines) {
 
   for (BatchOptions::Sweep sweep :
        {BatchOptions::Sweep::kAuto, BatchOptions::Sweep::kBlocked,
-        BatchOptions::Sweep::kSparseDelta, BatchOptions::Sweep::kDenseCopy}) {
+        BatchOptions::Sweep::kSparseDelta}) {
     BatchOptions options;
     options.sweep = sweep;
     snapshot->ClearPlanCache();

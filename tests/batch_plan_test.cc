@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -19,6 +18,9 @@
 #include "core/scenario.h"
 #include "core/session.h"
 #include "data/example_db.h"
+#include "data/tpch.h"
+#include "data/tpch_queries.h"
+#include "rel/sql/planner.h"
 #include "util/rng.h"
 #include "util/str.h"
 
@@ -99,20 +101,6 @@ TEST(ChooseAutoEngineTest, LargeProgramsBlockAndSizeLanesByScenarioCount) {
   EXPECT_EQ(edge.lanes, 8u);
 }
 
-TEST(ChooseAutoLayoutTest, SoAWhenReLayoutAmortizes) {
-  // The SoA image is an O(program) copy at plan time; it is only worth
-  // building when weight x scenarios clears the amortization threshold.
-  EXPECT_EQ(ChooseAutoLayout(1u << 20, 1024), prov::EvalLayout::kSoA);
-  EXPECT_EQ(ChooseAutoLayout(1u << 10, 1u << 10), prov::EvalLayout::kSoA);
-  EXPECT_EQ(ChooseAutoLayout(1u << 10, (1u << 10) - 1),
-            prov::EvalLayout::kAoS);
-  EXPECT_EQ(ChooseAutoLayout(64, 128), prov::EvalLayout::kAoS);
-  EXPECT_EQ(ChooseAutoLayout(0, 1024), prov::EvalLayout::kAoS);
-  // The product must not overflow its way under the threshold.
-  const std::size_t huge = std::numeric_limits<std::size_t>::max() / 2;
-  EXPECT_EQ(ChooseAutoLayout(huge, huge), prov::EvalLayout::kSoA);
-}
-
 TEST(BatchPlanTest, AutoChoiceIsDeterministicAcrossThreadCounts) {
   Session session;
   LoadPaperSession(&session);
@@ -150,8 +138,7 @@ TEST(BatchPlanTest, AutoBitIdenticalToEveryExplicitEngine) {
   EXPECT_NE(auto_batch.engine, BatchOptions::Sweep::kAuto);
 
   for (BatchOptions::Sweep sweep :
-       {BatchOptions::Sweep::kBlocked, BatchOptions::Sweep::kSparseDelta,
-        BatchOptions::Sweep::kDenseCopy}) {
+       {BatchOptions::Sweep::kBlocked, BatchOptions::Sweep::kSparseDelta}) {
     BatchOptions options;
     options.sweep = sweep;
     BatchAssignReport pinned =
@@ -159,6 +146,56 @@ TEST(BatchPlanTest, AutoBitIdenticalToEveryExplicitEngine) {
     EXPECT_EQ(pinned.engine, sweep);
     ExpectBatchBitIdentical(auto_batch, pinned);
   }
+}
+
+// A batch deep enough for kAuto's widest blocked resolution, on a real
+// per-order TPC-H program with a ragged last block (600 = 37 x 16 + 8):
+// the 16-lane kernel must reproduce the scalar oracle bit for bit.
+TEST(BatchPlanTest, AutoSixteenLanesOnTpchPerOrderMatchesSparse) {
+  data::TpchConfig config;
+  config.scale_factor = 0.01;
+  rel::Database db = data::GenerateTpch(config);
+  ASSERT_TRUE(data::InstrumentTpchByOrder(&db).ok());
+  prov::PolySet provenance =
+      rel::sql::RunSql(db,
+                       "SELECT l_returnflag, "
+                       "SUM(l_extendedprice * l_discount) AS revenue "
+                       "FROM lineitem "
+                       "WHERE l_shipdate >= 19940101 "
+                       "AND l_shipdate < 19950101 "
+                       "AND l_discount >= 0.05 AND l_discount <= 0.07 "
+                       "AND l_quantity < 24 GROUP BY l_returnflag")
+          .ValueOrDie()
+          .Provenance(0);
+  Session session(db.var_pool());
+  session.LoadPolynomials(std::move(provenance));
+  ASSERT_TRUE(session
+                  .SetTreeText(data::OrderBucketTreeText(config.NumOrders(),
+                                                         /*bucket_size=*/128))
+                  .ok());
+  session.SetBound(session.full().TotalMonomials() * 6 / 10);
+  session.Compress(Algorithm::kGreedy).ValueOrDie();
+  auto snapshot = session.Snapshot().ValueOrDie();
+
+  const std::vector<MetaVar>& meta = snapshot->meta_vars();
+  ASSERT_GT(meta.size(), 4u);
+  ScenarioSet scenarios;
+  for (std::size_t i = 0; i < 600; ++i) {
+    auto s = scenarios.Add("whatif-" + std::to_string(i)).ValueOrDie();
+    for (std::size_t d = 0; d < 4; ++d) {
+      s.Set(meta[(i + d * 131) % meta.size()].name,
+            1.0 + 0.01 * static_cast<double>((i + d) % 40 + 1));
+    }
+  }
+
+  BatchAssignReport auto_batch = snapshot->AssignBatch(scenarios).ValueOrDie();
+  EXPECT_EQ(auto_batch.engine, BatchOptions::Sweep::kBlocked);
+  EXPECT_EQ(auto_batch.block_lanes, 16u);
+
+  BatchOptions sparse;
+  sparse.sweep = BatchOptions::Sweep::kSparseDelta;
+  ExpectBatchBitIdentical(
+      auto_batch, snapshot->AssignBatch(scenarios, sparse).ValueOrDie());
 }
 
 // ---------------------------------------------------------------- the cache
@@ -277,10 +314,9 @@ TEST(BatchPlanTest, InvalidOptionsNameTheFieldAndAcceptedValues) {
   EXPECT_NE(r2.status().message().find("kAuto"), std::string::npos);
 
   // The lane knob belongs to kBlocked: kAuto picks lanes itself and the
-  // scalar engines ignore it.
+  // scalar engine ignores it.
   for (BatchOptions::Sweep sweep :
-       {BatchOptions::Sweep::kAuto, BatchOptions::Sweep::kSparseDelta,
-        BatchOptions::Sweep::kDenseCopy}) {
+       {BatchOptions::Sweep::kAuto, BatchOptions::Sweep::kSparseDelta}) {
     BatchOptions ignored;
     ignored.sweep = sweep;
     ignored.block_lanes = 3;
@@ -288,80 +324,9 @@ TEST(BatchPlanTest, InvalidOptionsNameTheFieldAndAcceptedValues) {
         << SweepName(sweep);
   }
 
-  // The prefetch knob is a distance in cache lines, capped at 64.
-  BatchOptions bad_prefetch;
-  bad_prefetch.prefetch_distance = 65;
-  util::Result<BatchAssignReport> r3 =
-      snapshot->AssignBatch(scenarios, bad_prefetch);
-  ASSERT_FALSE(r3.ok());
-  EXPECT_EQ(r3.status().code(), util::StatusCode::kInvalidArgument);
-  EXPECT_NE(r3.status().message().find("BatchOptions.prefetch_distance"),
-            std::string::npos);
-  EXPECT_NE(r3.status().message().find("0 to 64"), std::string::npos);
-
   // Validation happens at plan time: PlanBatch reports the same errors.
   EXPECT_FALSE(snapshot->PlanBatch(scenarios, bad_lanes).ok());
-  EXPECT_FALSE(snapshot->PlanBatch(scenarios, bad_prefetch).ok());
   EXPECT_FALSE(snapshot->PlanBatch(ScenarioSet(), BatchOptions()).ok());
-}
-
-// ------------------------------------------------------------------ layout
-
-TEST(BatchPlanTest, LayoutResolvesAndImagesFollowThePlan) {
-  Session session;
-  LoadPaperSession(&session);
-  auto snapshot = session.Snapshot().ValueOrDie();
-  ScenarioSet scenarios = MakeScenarios(*snapshot, 6);
-
-  // Explicit SoA on the blocked engine: both execution images exist and
-  // carry the SoA tag.
-  BatchOptions soa;
-  soa.sweep = BatchOptions::Sweep::kBlocked;
-  soa.layout = BatchOptions::Layout::kSoA;
-  auto soa_plan = snapshot->PlanBatch(scenarios, soa).ValueOrDie();
-  EXPECT_EQ(soa_plan->layout(), prov::EvalLayout::kSoA);
-  ASSERT_NE(soa_plan->core()->full_image(), nullptr);
-  ASSERT_NE(soa_plan->core()->compressed_image(), nullptr);
-  EXPECT_EQ(soa_plan->core()->full_image()->layout(), prov::EvalLayout::kSoA);
-  EXPECT_EQ(soa_plan->core()->compressed_image()->layout(),
-            prov::EvalLayout::kSoA);
-
-  // Explicit AoS on the blocked engine: no images are built.
-  BatchOptions aos;
-  aos.sweep = BatchOptions::Sweep::kBlocked;
-  aos.layout = BatchOptions::Layout::kAoS;
-  auto aos_plan = snapshot->PlanBatch(scenarios, aos).ValueOrDie();
-  EXPECT_EQ(aos_plan->layout(), prov::EvalLayout::kAoS);
-  EXPECT_EQ(aos_plan->core()->full_image(), nullptr);
-  EXPECT_EQ(aos_plan->core()->compressed_image(), nullptr);
-
-  // The scalar engines have no SoA kernels: an explicit kSoA resolves to
-  // AoS silently — the layout is a performance hint, never an error.
-  BatchOptions scalar;
-  scalar.sweep = BatchOptions::Sweep::kSparseDelta;
-  scalar.layout = BatchOptions::Layout::kSoA;
-  auto scalar_plan = snapshot->PlanBatch(scenarios, scalar).ValueOrDie();
-  EXPECT_EQ(scalar_plan->layout(), prov::EvalLayout::kAoS);
-  EXPECT_EQ(scalar_plan->core()->full_image(), nullptr);
-
-  // Layout is part of the plan-cache key: SoA and AoS plans of the same
-  // scenario set are distinct cache entries.
-  bool hit = true;
-  snapshot->PlanBatch(scenarios, soa, &hit).ValueOrDie();
-  EXPECT_TRUE(hit);
-  BatchOptions soa_far_prefetch = soa;
-  soa_far_prefetch.prefetch_distance = 16;
-  snapshot->PlanBatch(scenarios, soa_far_prefetch, &hit).ValueOrDie();
-  EXPECT_FALSE(hit);
-
-  // SoA execution is bit-identical to AoS execution of the same batch.
-  BatchAssignReport from_soa =
-      snapshot->AssignBatch(scenarios, soa).ValueOrDie();
-  BatchAssignReport from_aos =
-      snapshot->AssignBatch(scenarios, aos).ValueOrDie();
-  EXPECT_EQ(from_soa.layout, prov::EvalLayout::kSoA);
-  EXPECT_EQ(from_aos.layout, prov::EvalLayout::kAoS);
-  ExpectBatchBitIdentical(from_soa, from_aos);
 }
 
 TEST(BatchPlanTest, ExecuteRejectsAForeignPlan) {
@@ -433,8 +398,7 @@ TEST(BatchPlanTest, RandomizedColdAndWarmPlansAreBitIdentical) {
     bool have_reference = false;
     for (BatchOptions::Sweep sweep :
          {BatchOptions::Sweep::kAuto, BatchOptions::Sweep::kBlocked,
-          BatchOptions::Sweep::kSparseDelta,
-          BatchOptions::Sweep::kDenseCopy}) {
+          BatchOptions::Sweep::kSparseDelta}) {
       BatchOptions options;
       options.sweep = sweep;
       if (it.NextBool(0.3)) options.partition_min_terms = 1;

@@ -169,11 +169,6 @@ TEST(CompiledSessionTest, SparseOverridesMatchSequentialWithExponents) {
   ExpectBitIdentical(sequential,
                      snapshot->AssignBatch(scenarios, sparse).ValueOrDie());
 
-  BatchOptions dense;
-  dense.sweep = BatchOptions::Sweep::kDenseCopy;
-  ExpectBitIdentical(sequential,
-                     snapshot->AssignBatch(scenarios, dense).ValueOrDie());
-
   // The blocked kernel must reproduce the same bits for both lane widths;
   // 7 scenarios leave a ragged tail at either width.
   for (std::size_t lanes : {4u, 8u}) {
@@ -363,8 +358,7 @@ TEST(CompiledSessionTest, SnapshotSharesPoolAndFreezesItsSize) {
   ScenarioSet scenarios;
   scenarios.Add("late").ValueOrDie().Set("late_var", 2.0);
   for (BatchOptions::Sweep sweep :
-       {BatchOptions::Sweep::kBlocked, BatchOptions::Sweep::kSparseDelta,
-        BatchOptions::Sweep::kDenseCopy}) {
+       {BatchOptions::Sweep::kBlocked, BatchOptions::Sweep::kSparseDelta}) {
     BatchOptions options;
     options.sweep = sweep;
     util::Result<BatchAssignReport> result =
@@ -422,13 +416,12 @@ TEST(CompiledSessionConcurrencyTest, ManyThreadsMatchSequential) {
   for (std::size_t t = 0; t < kThreads; ++t) {
     pool.emplace_back([&, t]() {
       // Alternate sweep engines, lane widths, and thread counts across
-      // workers so the blocked, sparse, dense, and partitioned paths all
-      // run concurrently.
+      // workers so the blocked (4 and 8 lanes), sparse, and partitioned
+      // paths all run concurrently.
       BatchOptions options;
       options.num_threads = 1 + t % 3;
-      options.sweep = t % 3 == 0   ? BatchOptions::Sweep::kBlocked
-                      : t % 3 == 1 ? BatchOptions::Sweep::kSparseDelta
-                                   : BatchOptions::Sweep::kDenseCopy;
+      options.sweep = t % 3 == 0 ? BatchOptions::Sweep::kSparseDelta
+                                 : BatchOptions::Sweep::kBlocked;
       options.block_lanes = t % 2 == 0 ? 8 : 4;
       options.partition_min_terms = t % 4 == 0 ? 1 : 1024;
       for (std::size_t i = 0; i < kIterations; ++i) {

@@ -368,90 +368,6 @@ TEST(EvalProgramBlockedTest, BlockedLanesBitIdenticalToScalarRandomized) {
   }
 }
 
-// The SoA execution image is a pure memory re-layout: for randomized
-// programs, lane counts (all three kernel widths), poly sub-ranges and
-// prefetch distances, the image kernels must stay bit-identical to both
-// the AoS blocked kernel and the scalar sparse path.
-TEST(EvalProgramBlockedTest, SoAImageBitIdenticalToAoSRandomized) {
-  util::Rng rng(20260808);
-  for (int trial = 0; trial < 25; ++trial) {
-    VarPool pool;
-    const std::size_t num_vars = 4 + rng.NextBelow(16);
-    const std::size_t num_polys = 1 + rng.NextBelow(12);
-    PolySet set = RandomPolySet(&rng, &pool, num_vars, num_polys);
-    EvalProgram program(set);
-    const EvalImage image = EvalImage::Build(program);
-    EXPECT_EQ(image.layout(), EvalLayout::kSoA);
-    EXPECT_EQ(image.NumPolys(), program.NumPolys());
-    EXPECT_EQ(image.NumTerms(), program.NumTerms());
-    EXPECT_EQ(image.MinValuationSize(), program.MinValuationSize());
-
-    Valuation base(pool);
-    for (std::size_t v = 0; v < pool.size(); ++v) {
-      base.Set(static_cast<VarId>(v), rng.NextDoubleInRange(0.25, 2.0));
-    }
-
-    for (std::size_t num_lanes : {1u, 3u, 4u, 6u, 8u, 11u, 16u}) {
-      std::vector<std::vector<VarOverride>> lane_lists(num_lanes);
-      OverrideSpan spans[EvalProgram::kMaxLanes];
-      for (std::size_t l = 0; l < num_lanes; ++l) {
-        lane_lists[l] = RandomOverrides(&rng, pool.size());
-        spans[l] = {lane_lists[l].data(), lane_lists[l].size()};
-      }
-      BlockOverrides block = MakeBlockOverrides(base, spans, num_lanes);
-
-      // A random sub-range exercises the image's O(1) cursor seeding from
-      // the retained boundary arrays (not just poly 0).
-      const std::size_t polys = program.NumPolys();
-      const std::size_t begin = rng.NextBelow(polys);
-      const std::size_t end = begin + 1 + rng.NextBelow(polys - begin);
-      const std::size_t prefetch = rng.NextBelow(3) * 8;  // 0, 8 or 16
-
-      std::vector<double> aos(num_lanes * polys, -1.0);
-      program.EvalRangeBlocked(base, block, begin, end, aos.data(), polys);
-      std::vector<double> soa(num_lanes * polys, -1.0);
-      image.EvalRangeBlocked(base, block, begin, end, soa.data(), polys,
-                             prefetch);
-      for (std::size_t l = 0; l < num_lanes; ++l) {
-        for (std::size_t p = begin; p < end; ++p) {
-          EXPECT_EQ(soa[l * polys + p], aos[l * polys + p])
-              << "trial " << trial << " lanes " << num_lanes << " lane " << l
-              << " poly " << p << " prefetch " << prefetch;
-        }
-      }
-
-      // Term-range kernel: whole-program partials must agree bitwise too.
-      const std::size_t terms = program.NumTerms();
-      if (terms == 0) continue;
-      std::vector<double> aos_partials(num_lanes * terms, -1.0);
-      program.EvalTermRangeBlocked(base, block, 0, terms,
-                                   aos_partials.data(), terms);
-      std::vector<double> soa_partials(num_lanes * terms, -1.0);
-      image.EvalTermRangeBlocked(base, block, 0, terms, soa_partials.data(),
-                                 terms, prefetch);
-      for (std::size_t i = 0; i < aos_partials.size(); ++i) {
-        EXPECT_EQ(soa_partials[i], aos_partials[i])
-            << "trial " << trial << " lanes " << num_lanes << " partial "
-            << i;
-      }
-    }
-  }
-}
-
-TEST(EvalProgramBlockedTest, ImageWithLayoutTagOnlyChangesTheTag) {
-  VarPool pool;
-  PolySet set = Parse("P = 2 * x + 3 * y\n", &pool);
-  EvalProgram program(set);
-  const EvalImage image = EvalImage::Build(program);
-  const EvalImage tagged = image.WithLayoutTag(EvalLayout::kAoS);
-  EXPECT_EQ(tagged.layout(), EvalLayout::kAoS);
-  EXPECT_EQ(std::string(EvalLayoutName(tagged.layout())), "AoS");
-  EXPECT_EQ(std::string(EvalLayoutName(image.layout())), "SoA");
-  EXPECT_EQ(tagged.coeffs().size(), image.coeffs().size());
-  EXPECT_EQ(tagged.factors().size(), image.factors().size());
-  EXPECT_EQ(tagged.MinValuationSize(), image.MinValuationSize());
-}
-
 // The override-union lookup has two O(log k)-or-better paths: a dense
 // per-block row index when the union's id span is small, and a binary
 // search over the factor-sorted var array when it is wide. Both must

@@ -93,6 +93,10 @@ struct CutCase {
   std::size_t total_monomials;  // P1 + P2
 };
 
+// Without this, GoogleTest prints the raw bytes of CutCase (pointer values
+// included), so the listed test names change from build to build.
+void PrintTo(const CutCase& c, std::ostream* os) { *os << c.name; }
+
 class Example4Cuts : public ::testing::TestWithParam<CutCase> {};
 
 TEST_P(Example4Cuts, ReproducesPaperSizeAndVariables) {

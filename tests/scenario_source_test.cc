@@ -395,21 +395,14 @@ TEST_F(ScenarioSourceTest, SampledSweepIsThreadCountInvariant) {
   }
 }
 
-TEST_F(ScenarioSourceTest, DenseCopyEngineIsNotStreamable) {
+TEST_F(ScenarioSourceTest, ZeroStreamWindowIsRejected) {
   auto source = CartesianSource::Create(
                     {LinSpace(meta_names_[0], 0.9, 1.1, 4)})
                     .ValueOrDie();
   StreamOptions options;
-  options.batch.sweep = BatchOptions::Sweep::kDenseCopy;
+  options.batch.stream_block_scenarios = 0;
   util::Result<SweepSummary> result =
       snapshot_->AssignStream(*source, options);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), util::StatusCode::kInvalidArgument);
-  EXPECT_NE(result.status().message().find("kDenseCopy"), std::string::npos);
-
-  options.batch.sweep = BatchOptions::Sweep::kAuto;
-  options.batch.stream_block_scenarios = 0;
-  result = snapshot_->AssignStream(*source, options);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), util::StatusCode::kInvalidArgument);
   EXPECT_NE(result.status().message().find("stream_block_scenarios"),

@@ -223,6 +223,19 @@ TEST(WireTest, OversizedLengthPrefixRejectedBeforeAllocation) {
   ::close(fds[1]);
 }
 
+TEST(WireTest, WriteFrameToClosedPeerIsUnavailableNotSigpipe) {
+  // The test process keeps SIGPIPE's default disposition (terminate), so a
+  // write that raised it would kill the binary instead of failing the test.
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  ::close(fds[1]);
+  util::Status written =
+      WriteFrame(fds[0], EncodeRequest(ExampleBatchRequest()));
+  EXPECT_EQ(written.code(), util::StatusCode::kUnavailable)
+      << written.ToString();
+  ::close(fds[0]);
+}
+
 TEST(WireTest, WriteFrameRejectsOversizedPayload) {
   // No fd interaction: the size check precedes any write.
   std::string huge(kMaxFrameBytes + 1, 'x');

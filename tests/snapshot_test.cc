@@ -110,8 +110,7 @@ TEST(SnapshotTest, PackageRoundTripIsBitIdentical) {
   // Batched results are bit-identical under every sweep engine.
   ScenarioSet scenarios = ExampleScenarios();
   for (BatchOptions::Sweep sweep :
-       {BatchOptions::Sweep::kBlocked, BatchOptions::Sweep::kSparseDelta,
-        BatchOptions::Sweep::kDenseCopy}) {
+       {BatchOptions::Sweep::kBlocked, BatchOptions::Sweep::kSparseDelta}) {
     BatchOptions options;
     options.sweep = sweep;
     ExpectBatchBitIdentical(
@@ -321,7 +320,7 @@ TEST(SnapshotTest, EvalProgramFromPartsValidatesInvariants) {
 
 /// Randomized end-to-end property: random pools, trees, polynomials, bounds
 /// and override lists; save -> load -> AssignBatch must be bit-identical to
-/// the origin snapshot under all three sweep engines.
+/// the origin snapshot under both explicit sweep engines.
 TEST(SnapshotTest, RandomizedRoundTripIsBitIdenticalAcrossEngines) {
   util::Rng rng(0xC0BA8A8ULL);
   for (int iteration = 0; iteration < 10; ++iteration) {
@@ -410,8 +409,7 @@ TEST(SnapshotTest, RandomizedRoundTripIsBitIdenticalAcrossEngines) {
     }
 
     for (BatchOptions::Sweep sweep :
-         {BatchOptions::Sweep::kBlocked, BatchOptions::Sweep::kSparseDelta,
-          BatchOptions::Sweep::kDenseCopy}) {
+         {BatchOptions::Sweep::kBlocked, BatchOptions::Sweep::kSparseDelta}) {
       BatchOptions options;
       options.sweep = sweep;
       options.block_lanes = it.NextBool(0.5) ? 4 : 8;

@@ -1,11 +1,10 @@
-// Tests for valuations, PolySet, PolySetStats and the compiled EvalProgram.
+// Tests for valuations, PolySet and the compiled EvalProgram.
 
 #include <gtest/gtest.h>
 
 #include "prov/eval_program.h"
 #include "prov/parser.h"
 #include "prov/poly_set.h"
-#include "prov/stats.h"
 #include "prov/valuation.h"
 #include "util/rng.h"
 
@@ -88,24 +87,6 @@ TEST_F(PolySetTest, SubstituteAppliesToAll) {
   EXPECT_EQ(mapped.poly(1),
             ParsePolynomial("z^2 + 3", &pool_).ValueOrDie());
   EXPECT_EQ(mapped.label(0), "a");
-}
-
-TEST_F(PolySetTest, StatsSummarize) {
-  PolySet set = MakeSet();
-  PolySetStats stats = ComputeStats(set);
-  EXPECT_EQ(stats.num_polys, 2u);
-  EXPECT_EQ(stats.num_monomials, 4u);
-  EXPECT_EQ(stats.num_variables, 2u);
-  EXPECT_EQ(stats.max_degree, 2u);
-  EXPECT_DOUBLE_EQ(stats.avg_monomials_per_poly, 2.0);
-  EXPECT_EQ(stats.max_monomials_in_poly, 2u);
-  EXPECT_FALSE(stats.ToString().empty());
-}
-
-TEST_F(PolySetTest, EmptyStats) {
-  PolySetStats stats = ComputeStats(PolySet());
-  EXPECT_EQ(stats.num_polys, 0u);
-  EXPECT_DOUBLE_EQ(stats.avg_monomials_per_poly, 0.0);
 }
 
 // ---- EvalProgram: compiled evaluation must equal naive evaluation ----

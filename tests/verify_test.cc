@@ -449,7 +449,7 @@ class VerifyPlanTest : public ::testing::Test {
 TEST_F(VerifyPlanTest, CleanPlansVerifyCleanAcrossEngines) {
   for (BatchOptions::Sweep sweep :
        {BatchOptions::Sweep::kAuto, BatchOptions::Sweep::kBlocked,
-        BatchOptions::Sweep::kSparseDelta, BatchOptions::Sweep::kDenseCopy}) {
+        BatchOptions::Sweep::kSparseDelta}) {
     BatchOptions options;
     options.sweep = sweep;
     std::shared_ptr<const core::BatchPlan> plan =
@@ -503,83 +503,6 @@ TEST_F(VerifyPlanTest, TwelveLanesAreRejectedAtValidation) {
             "AssignBatch: invalid BatchOptions.block_lanes = 12 (accepted: "
             "4, 8 or 16; kAuto picks the lane count itself and the scalar "
             "engines ignore the knob)");
-}
-
-TEST_F(VerifyPlanTest, PrefetchDistanceOutOfRangeIsRejectedAtValidation) {
-  BatchOptions options;
-  options.prefetch_distance = 65;
-  util::Result<core::BatchAssignReport> result =
-      snapshot_->AssignBatch(scenarios_, options);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().message(),
-            "AssignBatch: invalid BatchOptions.prefetch_distance = 65 "
-            "(accepted: 0 to 64 cache lines ahead of the SoA kernels' "
-            "factor/coeff cursors; 0 disables prefetching)");
-}
-
-TEST_F(VerifyPlanTest, SoAPlanVerifiesCleanAndTagDisagreementIsDetected) {
-  BatchOptions options;
-  options.sweep = BatchOptions::Sweep::kBlocked;
-  options.layout = BatchOptions::Layout::kSoA;
-  std::shared_ptr<const core::BatchPlan> plan =
-      snapshot_->PlanBatch(scenarios_, options).ValueOrDie();
-  ASSERT_EQ(plan->layout(), prov::EvalLayout::kSoA);
-  EXPECT_TRUE(VerifyPlan(*plan, *snapshot_, &scenarios_).ok());
-
-  // Re-tag the full image as AoS without touching its arrays: the layout
-  // invariant must catch the disagreement.
-  auto retagged = std::make_shared<const prov::EvalImage>(
-      plan->core()->full_image()->WithLayoutTag(prov::EvalLayout::kAoS));
-  std::shared_ptr<const core::BatchPlan> tampered = core::BatchPlan::FromParts(
-      plan->core()->WithImages(retagged, plan->core()->compressed_image()),
-      std::make_shared<core::PlanBaseOverlay>(plan->overlay()));
-  const VerifyReport report = VerifyPlan(*tampered, *snapshot_, &scenarios_);
-  ASSERT_FALSE(report.ok());
-  EXPECT_TRUE(HasFindingContaining(
-      report, "image layout tag AoS disagrees with the plan layout SoA"))
-      << report.ToString();
-}
-
-TEST_F(VerifyPlanTest, SwappedImagesDoNotReDeriveFromThePrograms) {
-  // Splice the compressed image into the full slot (and vice versa): each
-  // image is internally consistent but no longer mirrors the program its
-  // slot claims, so the re-derivation check must fire.
-  BatchOptions options;
-  options.sweep = BatchOptions::Sweep::kBlocked;
-  options.layout = BatchOptions::Layout::kSoA;
-  std::shared_ptr<const core::BatchPlan> plan =
-      snapshot_->PlanBatch(scenarios_, options).ValueOrDie();
-  std::shared_ptr<const core::BatchPlan> tampered = core::BatchPlan::FromParts(
-      plan->core()->WithImages(plan->core()->compressed_image(),
-                               plan->core()->full_image()),
-      std::make_shared<core::PlanBaseOverlay>(plan->overlay()));
-  const VerifyReport report = VerifyPlan(*tampered, *snapshot_, &scenarios_);
-  ASSERT_FALSE(report.ok());
-  EXPECT_TRUE(HasFindingContaining(report, "do not re-derive"))
-      << report.ToString();
-}
-
-TEST_F(VerifyPlanTest, AoSPlanCarryingImagesIsDetected) {
-  BatchOptions soa;
-  soa.sweep = BatchOptions::Sweep::kBlocked;
-  soa.layout = BatchOptions::Layout::kSoA;
-  std::shared_ptr<const core::BatchPlan> donor =
-      snapshot_->PlanBatch(scenarios_, soa).ValueOrDie();
-
-  BatchOptions aos;
-  aos.sweep = BatchOptions::Sweep::kBlocked;
-  aos.layout = BatchOptions::Layout::kAoS;
-  std::shared_ptr<const core::BatchPlan> plan =
-      snapshot_->PlanBatch(scenarios_, aos).ValueOrDie();
-  std::shared_ptr<const core::BatchPlan> tampered = core::BatchPlan::FromParts(
-      plan->core()->WithImages(donor->core()->full_image(),
-                               donor->core()->compressed_image()),
-      std::make_shared<core::PlanBaseOverlay>(plan->overlay()));
-  const VerifyReport report = VerifyPlan(*tampered, *snapshot_, &scenarios_);
-  ASSERT_FALSE(report.ok());
-  EXPECT_TRUE(HasFindingContaining(report,
-                                   "AoS plan carries SoA execution images"))
-      << report.ToString();
 }
 
 TEST_F(VerifyPlanTest, ForeignPlanIsRejected) {
