@@ -23,6 +23,12 @@
 // best-of-R for both, and exits non-zero unless warm is >= 1.5x cold at the
 // default 1024 scenarios AND results are bit-identical across
 // kAuto/kBlocked/kSparseDelta and across cold vs warm plans.
+//
+// A small-batch leg then times the daemon's common request (8 scenarios x
+// 2 overrides, warm) at COBRA_A9_MT_THREADS vs 1 thread, as the median of
+// interleaved rounds, and fails unless the multi-threaded call costs at
+// most 1.5x the single-threaded one: the sweep's persistent helper pool
+// must keep thread start-up off the per-call path.
 // A machine-readable BENCH_a9.json lands next to the human output.
 //
 // Knobs: COBRA_A9_SCENARIOS (1024), COBRA_A9_SF (0.01, TPC-H scale factor),
@@ -36,6 +42,7 @@
 #include <cmath>
 #include <cstdio>
 #include <thread>
+#include <vector>
 
 #include "bench_util.h"
 #include "core/batch_plan.h"
@@ -209,6 +216,48 @@ int main() {
   }
   max_diff = std::max(max_diff, MaxBatchDifference(auto_cold, warm_mt));
 
+  // Small-batch leg: the daemon's common request, 8 scenarios x 2
+  // overrides, warm, at mt_threads vs 1 thread. Each sample times a run of
+  // calls; the two thread counts alternate round by round so drift on a
+  // shared host hits both alike, and the medians are compared. A sweep
+  // that starts threads per call pays more for them than such a batch
+  // gains from them.
+  constexpr std::size_t kSmallScenarios = 8;
+  constexpr std::size_t kSmallCallsPerSample = 64;
+  constexpr std::size_t kSmallRounds = 15;
+  const core::ScenarioSet small =
+      MakeScenarios(session, kSmallScenarios, /*deltas=*/2);
+  core::BatchOptions small_1t = options;
+  small_1t.num_threads = 1;
+  core::BatchOptions small_mt = options;
+  small_mt.num_threads = mt_threads;
+  const core::BatchAssignReport small_ref =
+      snapshot->AssignBatch(small, small_1t).ValueOrDie();
+  const core::BatchAssignReport small_par =
+      snapshot->AssignBatch(small, small_mt).ValueOrDie();
+  max_diff = std::max(max_diff, MaxBatchDifference(small_ref, small_par));
+  auto time_small = [&](const core::BatchOptions& small_options) {
+    return bench::TimeSeconds([&] {
+      for (std::size_t c = 0; c < kSmallCallsPerSample; ++c) {
+        snapshot->AssignBatch(small, small_options).ValueOrDie();
+      }
+    }) / static_cast<double>(kSmallCallsPerSample);
+  };
+  std::vector<double> small_1t_seconds;
+  std::vector<double> small_mt_seconds;
+  for (std::size_t r = 0; r < kSmallRounds; ++r) {
+    small_1t_seconds.push_back(time_small(small_1t));
+    small_mt_seconds.push_back(time_small(small_mt));
+  }
+  auto median = [](std::vector<double> samples) {
+    std::nth_element(samples.begin(), samples.begin() + samples.size() / 2,
+                     samples.end());
+    return samples[samples.size() / 2];
+  };
+  const double small_1t_median = median(small_1t_seconds);
+  const double small_mt_median = median(small_mt_seconds);
+  const double small_mt_cost = bench::Ratio(small_mt_median, small_1t_median);
+
   const double warm_speedup = bench::Ratio(cold_seconds, warm_seconds);
   const core::CompiledSession::PlanCacheStats stats =
       snapshot->plan_cache_stats();
@@ -224,6 +273,17 @@ int main() {
               warm_mt_seconds * 1e3,
               warm_mt_seconds * 1e6 / static_cast<double>(num_scenarios),
               warm_mt.num_threads);
+  std::printf("%-28s %12.3f %14.2fus  (threads=1)\n", "small batch (8 x 2)",
+              small_1t_median * 1e3,
+              small_1t_median * 1e6 / static_cast<double>(kSmallScenarios));
+  std::printf("%-28s %12.3f %14.2fus  (threads=%zu)\n",
+              "small batch (8 x 2, mt)", small_mt_median * 1e3,
+              small_mt_median * 1e6 / static_cast<double>(kSmallScenarios),
+              small_par.num_threads);
+  std::printf(
+      "\nsmall batch: %zu threads cost %.2fx one thread (median of %zu "
+      "interleaved rounds)\n",
+      small_par.num_threads, small_mt_cost, kSmallRounds);
   std::printf(
       "\nscenarios=%zu threads=%zu engine=%s lanes=%zu  warm vs cold=%.2fx\n"
       "plan cache: %zu entries, %llu hits, %llu misses  max |diff|=%g\n",
@@ -250,6 +310,10 @@ int main() {
   json.Add("threads_mt", warm_mt.num_threads);
   json.Add("warm_seconds_mt", warm_mt_seconds);
   json.Add("warm_speedup", warm_speedup);
+  json.Add("small_seconds_1t", small_1t_median);
+  json.Add("small_seconds_mt", small_mt_median);
+  json.Add("small_threads_mt", small_par.num_threads);
+  json.Add("small_mt_cost", small_mt_cost);
   json.Add("max_diff", max_diff);
   json.Add("identical", max_diff == 0.0);
   json.WriteFile("BENCH_a9.json");
@@ -257,6 +321,7 @@ int main() {
   bench::GateSet gates;
   gates.Require("identical", max_diff == 0.0);
   gates.Require("warm_vs_cold>=1.5x", warm_speedup >= 1.5);
+  gates.Require("small_batch_mt_vs_1t<=1.5x", small_mt_cost <= 1.5);
   gates.Print();
   return gates.ExitCode();
 }

@@ -3,8 +3,12 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <condition_variable>
+#include <deque>
+#include <functional>
 #include <limits>
 #include <mutex>
+#include <system_error>
 #include <thread>
 #include <utility>
 
@@ -30,6 +34,88 @@ std::vector<prov::VarId> ExtendIdentity(std::vector<prov::VarId> mapping,
   }
   return mapping;
 }
+
+/// The process-wide helper pool behind SweepPlanProgram. The calling thread
+/// always drains its own job, and helpers only join in, so a sweep never
+/// waits for a free helper and concurrent callers simply share them.
+/// Helpers start lazily, up to the largest `workers - 1` any sweep asked
+/// for, and stay parked until the process exits. The pool, helper threads
+/// included, is leaked on purpose: destroying it at static destruction
+/// would race those helpers.
+class SweepPool {
+ public:
+  static SweepPool& Get() {
+    static SweepPool* const pool = new SweepPool();
+    return *pool;
+  }
+
+  /// Runs `task(t)` for every t in [0, tasks) on the calling thread plus at
+  /// most `workers - 1` helpers. Returns once every task has finished.
+  void Run(std::size_t tasks, std::size_t workers,
+           const std::function<void(std::size_t)>& task) {
+    const std::size_t helpers = workers - 1;
+    Job job{task, tasks, helpers};
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      Grow(helpers);
+      open_.push_back(&job);
+    }
+    for (std::size_t i = 0; i < helpers; ++i) work_cv_.notify_one();
+    job.Drain();
+    std::unique_lock<std::mutex> lock(mu_);
+    std::erase(open_, &job);  // No helper joins from here on.
+    done_cv_.wait(lock, [&job] { return job.active == 0; });
+  }
+
+ private:
+  struct Job {
+    const std::function<void(std::size_t)>& task;
+    const std::size_t tasks;
+    std::size_t seats;        ///< Helpers that may still join; under mu_.
+    std::size_t active = 0;   ///< Helpers inside Drain(); under mu_.
+    std::atomic<std::size_t> next{0};
+
+    void Drain() {
+      for (std::size_t t = next.fetch_add(1); t < tasks;
+           t = next.fetch_add(1)) {
+        task(t);
+      }
+    }
+  };
+
+  /// Starts helpers until there are `helpers`. A failed start only leaves
+  /// the pool smaller. Requires mu_.
+  void Grow(std::size_t helpers) {
+    while (helpers_.size() < helpers) {
+      try {
+        helpers_.emplace_back([this] { HelperLoop(); });
+      } catch (const std::system_error&) {
+        return;
+      }
+    }
+  }
+
+  void HelperLoop() {
+    std::unique_lock<std::mutex> lock(mu_);
+    for (;;) {
+      work_cv_.wait(lock, [this] { return !open_.empty(); });
+      Job* job = open_.front();
+      ++job->active;
+      if (--job->seats == 0) open_.pop_front();
+      lock.unlock();
+      job->Drain();
+      lock.lock();
+      if (--job->active == 0) done_cv_.notify_all();
+    }
+  }
+
+  std::mutex mu_;
+  std::condition_variable work_cv_;
+  std::condition_variable done_cv_;
+  /// Jobs that still have a free seat, oldest first.
+  std::deque<Job*> open_;
+  std::vector<std::thread> helpers_;
+};
 
 }  // namespace
 
@@ -650,17 +736,7 @@ void CompiledSession::SweepPlanProgram(const PlanCore& core,
   if (workers <= 1) {
     for (std::size_t t = 0; t < tasks; ++t) run_task(t);
   } else {
-    std::atomic<std::size_t> next{0};
-    auto worker = [&]() {
-      for (std::size_t t = next.fetch_add(1); t < tasks;
-           t = next.fetch_add(1)) {
-        run_task(t);
-      }
-    };
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (std::size_t w = 0; w < workers; ++w) pool.emplace_back(worker);
-    for (std::thread& th : pool) th.join();
+    SweepPool::Get().Run(tasks, workers, run_task);
   }
   if (term_slices > 0) {
     for (std::size_t i = 0; i < n; ++i) {

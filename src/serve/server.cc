@@ -1,6 +1,7 @@
 #include "serve/server.h"
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
@@ -26,20 +27,58 @@ bool ServerBuildHasFaultInjection() {
 #endif
 }
 
-/// One accepted TCP connection. The reader thread is the only reader of
-/// `fd`; responses may come from any worker, so writes serialize on
+namespace {
+
+/// Pause before the I/O thread retries a failed poll() or an accept() that
+/// ran out of descriptors or memory; retrying sooner would spin.
+constexpr std::chrono::milliseconds kAcceptRetryPause{100};
+
+/// How often the I/O thread retries a connection a worker is writing to.
+constexpr std::chrono::milliseconds kParkedRetry{1};
+
+/// Bytes the I/O thread reads from one connection per poll round.
+constexpr std::size_t kReadChunkBytes = 64u << 10;
+
+/// Copies one batch report into the response matrices (appending — the
+/// chunked path calls this once per chunk).
+void AppendBatchReport(const core::BatchAssignReport& report,
+                       WireResponse* response) {
+  for (const std::string& name : report.scenario_names) {
+    response->scenario_names.push_back(name);
+  }
+  for (const core::AssignReport& scenario : report.reports) {
+    for (const core::ResultDelta::Row& row : scenario.delta.rows) {
+      response->full_values.push_back(row.full);
+      response->compressed_values.push_back(row.compressed);
+    }
+  }
+}
+
+WireResponse ErrorResponse(WireCode code, std::string message) {
+  WireResponse response;
+  response.code = code;
+  response.message = std::move(message);
+  return response;
+}
+
+}  // namespace
+
+/// One accepted TCP connection. The I/O thread is the only reader of `fd`;
+/// responses may come from it or from any worker, so writes serialize on
 /// `write_mu`. The fd closes when the last shared_ptr drops — which cannot
 /// happen before every queued request holding the connection has answered.
 struct CobraServer::Connection {
   explicit Connection(int fd) : fd(fd) {}
-  ~Connection() {
-    if (fd >= 0) ::close(fd);
-  }
-  Connection(const Connection&) = delete;
-  Connection& operator=(const Connection&) = delete;
+  ~Connection() { ::close(fd); }
 
   int fd;
   std::mutex write_mu;
+  /// Received bytes not yet consumed as frames. I/O thread only; grows
+  /// with what the peer sent, never with what a length prefix claims.
+  std::string in;
+  /// A worker held `write_mu` at the I/O thread's last visit, so `fd` is
+  /// left unread until then. I/O thread only.
+  bool parked = false;
 };
 
 /// One admitted request: everything Execute needs, captured at admission.
@@ -95,25 +134,22 @@ CobraServer::ServedSnapshot CobraServer::CurrentSnapshot() const {
   return snapshot_;
 }
 
-std::uint64_t CobraServer::snapshot_version() const {
-  std::shared_lock<std::shared_mutex> lock(snapshot_mu_);
-  return snapshot_.version;
-}
-
 std::string CobraServer::snapshot_name() const {
-  std::shared_lock<std::shared_mutex> lock(snapshot_mu_);
-  return snapshot_.name;
+  return CurrentSnapshot().name;
 }
 
 util::Status CobraServer::Start() {
   if (running_.load(std::memory_order_acquire)) {
     return util::Status::FailedPrecondition("server already running");
   }
+  auto fail = [this](const std::string& call) {
+    const std::string error = call + " failed: " + std::strerror(errno);
+    if (listen_fd_ >= 0) ::close(listen_fd_);
+    listen_fd_ = -1;
+    return util::Status::IoError(error);
+  };
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) {
-    return util::Status::IoError(std::string("socket() failed: ") +
-                                 std::strerror(errno));
-  }
+  if (listen_fd_ < 0) return fail("socket()");
   int one = 1;
   ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
   sockaddr_in addr{};
@@ -122,33 +158,18 @@ util::Status CobraServer::Start() {
   addr.sin_port = htons(static_cast<std::uint16_t>(options_.port));
   if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
       0) {
-    const std::string error = std::strerror(errno);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return util::Status::IoError("bind(port " +
-                                 std::to_string(options_.port) +
-                                 ") failed: " + error);
+    return fail("bind(port " + std::to_string(options_.port) + ")");
   }
   socklen_t len = sizeof(addr);
   ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len);
   port_ = ntohs(addr.sin_port);
-  if (::listen(listen_fd_, 64) != 0) {
-    const std::string error = std::strerror(errno);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return util::Status::IoError("listen() failed: " + error);
-  }
-  if (::pipe(wake_pipe_) != 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return util::Status::IoError(std::string("pipe() failed: ") +
-                                 std::strerror(errno));
-  }
+  if (::listen(listen_fd_, 64) != 0) return fail("listen()");
+  if (::fcntl(listen_fd_, F_SETFL, O_NONBLOCK) != 0) return fail("fcntl()");
+  if (::pipe(wake_pipe_) != 0) return fail("pipe()");
   draining_.store(false, std::memory_order_release);
   running_.store(true, std::memory_order_release);
-  acceptor_ = std::thread([this] { AcceptLoop(); });
+  io_thread_ = std::thread([this] { IoLoop(); });
   const int workers = options_.num_workers > 0 ? options_.num_workers : 1;
-  workers_.reserve(static_cast<std::size_t>(workers));
   for (int i = 0; i < workers; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
   }
@@ -160,30 +181,18 @@ void CobraServer::Stop() {
   if (!running_.exchange(false, std::memory_order_acq_rel)) return;
   draining_.store(true, std::memory_order_release);
 
-  // Wake and join the acceptor: no new connections.
-  if (wake_pipe_[1] >= 0) {
-    const char byte = 'x';
-    [[maybe_unused]] ssize_t ignored = ::write(wake_pipe_[1], &byte, 1);
-  }
-  if (acceptor_.joinable()) acceptor_.join();
+  // Wake and join the I/O thread: it answers the frames already received
+  // (draining_ sheds every AssignBatch among them) and reads no more.
+  [[maybe_unused]] ssize_t woken = ::write(wake_pipe_[1], "x", 1);
+  io_thread_.join();
 
-  // Half-close every connection: readers see EOF and stop admitting, but
-  // the write side stays open for responses still in the queue.
-  {
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    for (const std::weak_ptr<Connection>& weak : conns_) {
-      if (std::shared_ptr<Connection> conn = weak.lock()) {
-        ::shutdown(conn->fd, SHUT_RD);
-      }
-    }
+  // Half-close every connection and drop the I/O thread's handles: peers
+  // see no more reads, but a connection with requests still in the queue
+  // stays open for their responses.
+  for (const std::shared_ptr<Connection>& conn : conns_) {
+    ::shutdown(conn->fd, SHUT_RD);
   }
-  {
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    for (Reader& reader : readers_) {
-      if (reader.thread.joinable()) reader.thread.join();
-    }
-    readers_.clear();
-  }
+  conns_.clear();
 
   // Drain: workers exit only once the queue is empty (WorkerLoop checks
   // draining_), so every admitted request still gets its response.
@@ -193,161 +202,176 @@ void CobraServer::Stop() {
   }
   workers_.clear();
 
-  {
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    conns_.clear();
-  }
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
-  for (int& fd : wake_pipe_) {
-    if (fd >= 0) {
-      ::close(fd);
-      fd = -1;
-    }
+  for (int* fd : {&listen_fd_, &wake_pipe_[0], &wake_pipe_[1]}) {
+    ::close(*fd);
+    *fd = -1;
   }
   Log("serverd: drained and stopped");
 }
 
-void CobraServer::AcceptLoop() {
+void CobraServer::IoLoop() {
+  std::vector<pollfd> fds;
+  Clock::time_point accept_paused_until{};
   for (;;) {
-    pollfd fds[2];
-    fds[0] = {listen_fd_, POLLIN, 0};
-    fds[1] = {wake_pipe_[0], POLLIN, 0};
-    const int ready = ::poll(fds, 2, -1);
-    if (ready < 0) {
+    // Slot 0 is the wake pipe, slot 1 the listen socket, then conns_ in
+    // order; poll skips the -1 of a paused listen socket or a parked
+    // connection, and wakes on time to retry them.
+    const bool accepting = Clock::now() >= accept_paused_until;
+    fds.assign({{wake_pipe_[0], POLLIN, 0},
+                {accepting ? listen_fd_ : -1, POLLIN, 0}});
+    bool any_parked = false;
+    for (const std::shared_ptr<Connection>& conn : conns_) {
+      fds.push_back({conn->parked ? -1 : conn->fd, POLLIN, 0});
+      any_parked = any_parked || conn->parked;
+    }
+    const int timeout_ms =
+        any_parked   ? static_cast<int>(kParkedRetry.count())
+        : accepting ? -1
+                    : static_cast<int>(kAcceptRetryPause.count());
+    if (::poll(fds.data(), fds.size(), timeout_ms) < 0) {
       if (errno == EINTR) continue;
-      Log(std::string("serverd: accept poll failed: ") +
+      Log(std::string("serverd: poll failed, retrying: ") +
           std::strerror(errno));
-      return;
-    }
-    if (fds[1].revents != 0 || draining_.load(std::memory_order_acquire)) {
-      return;
-    }
-    if ((fds[0].revents & POLLIN) == 0) continue;
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR || errno == ECONNABORTED) continue;
-      Log(std::string("serverd: accept failed: ") + std::strerror(errno));
-      return;
-    }
-    int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    auto conn = std::make_shared<Connection>(fd);
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    // Reap before adding: join readers that have finished (the join returns
-    // at once) and forget connections nobody holds any more.
-    readers_.remove_if([](Reader& reader) {
-      if (!reader.done.load(std::memory_order_acquire)) return false;
-      reader.thread.join();
-      return true;
-    });
-    std::erase_if(conns_, [](const std::weak_ptr<Connection>& weak) {
-      return weak.expired();
-    });
-    conns_.push_back(conn);
-    Reader& reader = readers_.emplace_back();
-    reader.thread = std::thread([this, conn, &reader]() mutable {
-      ConnectionLoop(conn);
-      // Flag before releasing the connection: a client that waits for the
-      // server's close before reconnecting always finds this reader
-      // joinable on the next accept, so its stack and allocator arena are
-      // reused instead of a new thread overlapping it.
-      reader.done.store(true, std::memory_order_release);
-      conn.reset();
-    });
-  }
-}
-
-void CobraServer::ConnectionLoop(std::shared_ptr<Connection> conn) {
-  for (;;) {
-    std::string payload;
-    bool closed = false;
-    util::Status read = ReadFrame(conn->fd, &payload, &closed);
-    if (!read.ok()) {
-      Log("serverd: connection dropped: " + read.ToString());
-      return;
-    }
-    if (closed) return;
-    util::Result<WireRequest> request = DecodeRequest(payload);
-    if (!request.ok()) {
-      WireResponse response;
-      response.code = WireCode::kInvalidArgument;
-      response.message = request.status().message();
-      SendResponse(conn, response);
+      std::this_thread::sleep_for(kAcceptRetryPause);
       continue;
     }
-    switch (request->type) {
-      case MsgType::kPing: {
-        WireResponse response;
-        response.type = MsgType::kPing;
-        response.request_id = request->request_id;
-        const ServedSnapshot snapshot = CurrentSnapshot();
-        response.snapshot_version = snapshot.version;
-        response.message = snapshot.name;
-        SendResponse(conn, response);
-        break;
+    const bool stopping = fds[0].revents != 0;  // Read every peer once more.
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < conns_.size(); ++i) {
+      const bool idle = fds[i + 2].revents == 0 && !conns_[i]->parked;
+      if ((idle && !stopping) || ReadAndDispatch(conns_[i])) {
+        conns_[kept++] = std::move(conns_[i]);
       }
-      case MsgType::kStats: {
-        WireResponse response;
-        response.type = MsgType::kStats;
-        response.request_id = request->request_id;
-        response.snapshot_version = snapshot_version();
-        response.stats_text = StatsText();
-        SendResponse(conn, response);
-        break;
+    }
+    conns_.erase(conns_.begin() + static_cast<std::ptrdiff_t>(kept),
+                 conns_.end());
+    if (stopping) return;
+    while (fds[1].revents != 0) {
+      const int fd = ::accept(listen_fd_, nullptr, nullptr);
+      if (fd >= 0) {
+        int one = 1;
+        ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+        conns_.push_back(std::make_shared<Connection>(fd));
+        continue;
       }
-      case MsgType::kAssignBatch:
-        AdmitOrShed(conn, std::move(*request));
-        break;
-      default: {
-        WireResponse response;
-        response.request_id = request->request_id;
-        response.code = WireCode::kInvalidArgument;
-        response.message = "unknown message type";
-        SendResponse(conn, response);
-        break;
+      if (errno == EINTR || errno == ECONNABORTED) continue;
+      if (errno != EAGAIN && errno != EWOULDBLOCK) {
+        // EMFILE, ENFILE, ENOBUFS, ENOMEM and the rest: keep serving the
+        // open connections, whose closing frees what accept needs, and
+        // retry after a pause.
+        Log(std::string("serverd: accept failed, retrying: ") +
+            std::strerror(errno));
+        accept_paused_until = Clock::now() + kAcceptRetryPause;
       }
+      break;
     }
   }
 }
 
-void CobraServer::AdmitOrShed(const std::shared_ptr<Connection>& conn,
-                              WireRequest request) {
+bool CobraServer::ReadAndDispatch(const std::shared_ptr<Connection>& conn) {
+  // Inline answers write under this lock. A worker holding it may be
+  // blocked on a peer that does not read: read no more from that peer.
+  std::unique_lock<std::mutex> lock(conn->write_mu, std::try_to_lock);
+  conn->parked = !lock.owns_lock();
+  if (conn->parked) return true;
+  char buffer[kReadChunkBytes];
+  const ssize_t n = ::recv(conn->fd, buffer, sizeof(buffer), MSG_DONTWAIT);
+  if (n < 0 && (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK)) {
+    return true;
+  }
+  if (n <= 0) {  // A close between frames is the normal end.
+    if (n < 0 || !conn->in.empty()) {
+      Log(std::string("serverd: connection dropped: ") +
+          (n < 0 ? std::strerror(errno) : "peer closed mid-frame"));
+    }
+    return false;
+  }
+  std::string& in = conn->in;
+  in.append(buffer, static_cast<std::size_t>(n));
+  std::size_t pos = 0;
+  bool alive = true;
+  while (alive) {
+    std::string_view payload;
+    util::Result<std::size_t> frame =
+        SplitFrame(std::string_view(in).substr(pos), &payload);
+    if (!frame.ok()) {
+      Log("serverd: connection dropped: " + frame.status().ToString());
+      return false;
+    }
+    if (*frame == 0) break;
+    alive = HandleFrame(conn, payload);
+    pos += *frame;
+  }
+  in.erase(0, pos);
+  // A drained buffer gives back what a large frame made it reserve.
+  if (in.empty() && in.capacity() > kReadChunkBytes) std::string().swap(in);
+  return alive;
+}
+
+bool CobraServer::HandleFrame(const std::shared_ptr<Connection>& conn,
+                              std::string_view payload) {
+  util::Result<WireRequest> request = DecodeRequest(payload);
+  if (!request.ok()) {
+    return SendInline(conn, ErrorResponse(WireCode::kInvalidArgument,
+                                          request.status().message()));
+  }
+  ServedSnapshot snapshot = CurrentSnapshot();
+  WireResponse response;
+  response.type = request->type;
+  response.request_id = request->request_id;
+  response.snapshot_version = snapshot.version;
+  switch (request->type) {
+    case MsgType::kAssignBatch:
+      return AdmitOrShed(conn, std::move(*request), std::move(snapshot));
+    case MsgType::kPing:
+      response.message = snapshot.name;
+      break;
+    case MsgType::kStats:
+      response.stats_text = StatsText(snapshot);
+      break;
+    default:
+      response = ErrorResponse(WireCode::kInvalidArgument,
+                               "unknown message type");
+      response.request_id = request->request_id;
+      break;
+  }
+  return SendInline(conn, response);
+}
+
+bool CobraServer::AdmitOrShed(const std::shared_ptr<Connection>& conn,
+                              WireRequest request, ServedSnapshot snapshot) {
   auto pending = std::make_unique<PendingRequest>();
   pending->conn = conn;
-  pending->snapshot = CurrentSnapshot();
-  int deadline_ms = request.deadline_ms == 0
-                        ? options_.default_deadline_ms
-                        : static_cast<int>(request.deadline_ms);
-  if (deadline_ms > options_.max_deadline_ms) {
-    deadline_ms = options_.max_deadline_ms;
-  }
+  pending->snapshot = std::move(snapshot);
+  const int deadline_ms =
+      std::min(request.deadline_ms == 0
+                   ? options_.default_deadline_ms
+                   : static_cast<int>(request.deadline_ms),
+               options_.max_deadline_ms);
   pending->deadline = Clock::now() + std::chrono::milliseconds(deadline_ms);
   const std::uint64_t request_id = request.request_id;
   pending->request = std::move(request);
+  bool full = false;
   {
     std::lock_guard<std::mutex> lock(queue_mu_);
-    const bool full =
+    full =
         queue_.size() >= static_cast<std::size_t>(options_.queue_capacity) ||
         COBRA_FAULT_FIRE(FaultPoint::kQueueOverflow);
-    if (full || draining_.load(std::memory_order_acquire)) {
-      shed_.fetch_add(1, std::memory_order_relaxed);
-      WireResponse response;
-      response.type = MsgType::kAssignBatch;
-      response.request_id = request_id;
-      response.code = WireCode::kUnavailable;
-      response.message = full ? "request queue full" : "server draining";
-      response.retry_after_ms =
-          static_cast<std::uint32_t>(options_.retry_after_ms);
-      SendResponse(conn, response);
-      return;
+    if (!full && !draining_.load(std::memory_order_acquire)) {
+      queue_.push_back(std::move(pending));
+      accepted_.fetch_add(1, std::memory_order_relaxed);
+      queue_cv_.notify_one();
+      return true;
     }
-    queue_.push_back(std::move(pending));
-    accepted_.fetch_add(1, std::memory_order_relaxed);
   }
-  queue_cv_.notify_one();
+  shed_.fetch_add(1, std::memory_order_relaxed);
+  WireResponse response = ErrorResponse(
+      WireCode::kUnavailable, full ? "request queue full" : "server draining");
+  response.type = MsgType::kAssignBatch;
+  response.request_id = request_id;
+  response.retry_after_ms =
+      static_cast<std::uint32_t>(options_.retry_after_ms);
+  return SendInline(conn, response);
 }
 
 void CobraServer::WorkerLoop() {
@@ -370,51 +394,24 @@ void CobraServer::WorkerLoop() {
 }
 
 void CobraServer::Execute(PendingRequest& pending) {
-  WireResponse response = RunAssignBatch(pending, pending.snapshot);
+  WireResponse response = RunAssignBatch(pending);
   response.type = MsgType::kAssignBatch;
   response.request_id = pending.request.request_id;
-  switch (response.code) {
-    case WireCode::kOk:
-      completed_.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case WireCode::kDeadlineExceeded:
-      deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
-      break;
-    default:
-      failed_.fetch_add(1, std::memory_order_relaxed);
-      break;
-  }
-  SendResponse(pending.conn, response);
-}
-
-namespace {
-
-/// Copies one batch report into the response matrices (appending — the
-/// chunked path calls this once per chunk).
-void AppendBatchReport(const core::BatchAssignReport& report,
-                       WireResponse* response) {
-  for (const std::string& name : report.scenario_names) {
-    response->scenario_names.push_back(name);
-  }
-  for (const core::AssignReport& scenario : report.reports) {
-    for (const core::ResultDelta::Row& row : scenario.delta.rows) {
-      response->full_values.push_back(row.full);
-      response->compressed_values.push_back(row.compressed);
-    }
+  std::atomic<std::uint64_t>& outcome =
+      response.code == WireCode::kOk                 ? completed_
+      : response.code == WireCode::kDeadlineExceeded ? deadline_exceeded_
+                                                     : failed_;
+  outcome.fetch_add(1, std::memory_order_relaxed);
+  const std::string payload = EncodeResponse(response);
+  std::lock_guard<std::mutex> lock(pending.conn->write_mu);
+  util::Status written = WriteFrame(pending.conn->fd, payload);
+  if (!written.ok()) {
+    Log("serverd: response write failed: " + written.ToString());
   }
 }
 
-WireResponse ErrorResponse(WireCode code, std::string message) {
-  WireResponse response;
-  response.code = code;
-  response.message = std::move(message);
-  return response;
-}
-
-}  // namespace
-
-WireResponse CobraServer::RunAssignBatch(const PendingRequest& pending,
-                                         const ServedSnapshot& snapshot) {
+WireResponse CobraServer::RunAssignBatch(const PendingRequest& pending) {
+  const ServedSnapshot& snapshot = pending.snapshot;
   if (snapshot.session == nullptr) {
     return ErrorResponse(WireCode::kFailedPrecondition,
                          "no servable snapshot loaded yet");
@@ -526,14 +523,16 @@ WireResponse CobraServer::RunAssignBatch(const PendingRequest& pending,
   return response;
 }
 
-void CobraServer::SendResponse(const std::shared_ptr<Connection>& conn,
-                               const WireResponse& response) {
-  const std::string payload = EncodeResponse(response);
-  std::lock_guard<std::mutex> lock(conn->write_mu);
-  util::Status written = WriteFrame(conn->fd, payload);
-  if (!written.ok()) {
-    Log("serverd: response write failed: " + written.ToString());
-  }
+bool CobraServer::SendInline(const std::shared_ptr<Connection>& conn,
+                             const WireResponse& response) {
+  // A full send buffer may leave a frame half written, and the stream
+  // cannot be resumed: the connection goes.
+  util::Status sent =
+      WriteFrame(conn->fd, EncodeResponse(response), MSG_DONTWAIT);
+  if (sent.ok()) return true;
+  Log("serverd: connection dropped: " + sent.ToString());
+  ::shutdown(conn->fd, SHUT_RDWR);
+  return false;
 }
 
 ServerStats CobraServer::stats() const {
@@ -549,10 +548,10 @@ ServerStats CobraServer::stats() const {
   return stats;
 }
 
-std::string CobraServer::StatsText() const {
+std::string CobraServer::StatsText(const ServedSnapshot& snapshot) const {
   const ServerStats s = stats();
-  std::string text = "serving snapshot '" + snapshot_name() + "' version " +
-                     std::to_string(snapshot_version()) + "\n";
+  std::string text = "serving snapshot '" + snapshot.name + "' version " +
+                     std::to_string(snapshot.version) + "\n";
   text += "accepted=" + std::to_string(s.accepted);
   text += " completed=" + std::to_string(s.completed);
   text += " coalesced=" + std::to_string(s.coalesced);

@@ -7,12 +7,12 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -25,30 +25,37 @@
 /// cobra::serve server — the fault-tolerant what-if serving tier.
 ///
 /// `CobraServer` owns one published `shared_ptr<const CompiledSession>` and
-/// answers wire-protocol requests (serve/wire.h) against it. The design
-/// invariants, in the order they matter:
+/// answers wire-protocol requests (serve/wire.h) against it on a fixed set
+/// of threads, whatever the connection count:
 ///
-///   1. **Verify-gated swap.** The server itself never loads anything: a
-///      new session arrives through `Swap()` only after the caller (the
-///      `SnapshotWatcher`) has taken it through parse → checksum → static
-///      verifier. The swap is an atomic pointer publish; requests admitted
-///      before the swap finish on the session they started with (the
-///      shared_ptr keeps it alive), so every response is computed against
-///      exactly one coherent version — never a mix.
+///   - **One I/O thread** `poll`s the listen socket, a wake pipe and every
+///     connection, reads into buffers that grow only with bytes received,
+///     answers ping and stats and queues AssignBatch requests. It never
+///     blocks on a socket: a peer with a full send buffer is dropped, and a
+///     connection is not read while a worker writes to it (backpressure).
+///   - **`num_workers` workers** execute queued requests and write their
+///     responses. Each sweep runs on the worker plus the helpers of the
+///     process-wide sweep pool (core/compiled_session.cc), started once.
 ///
-///   2. **Bounded admission.** Accepted requests enter a fixed-capacity
-///      queue; when it is full the server sheds instead of buffering
-///      (kUnavailable + retry-after hint), so overload degrades to fast
-///      failure rather than unbounded latency. Every request carries a
-///      deadline; workers check it before execution and — for large
-///      batches — between scenario chunks, so a stuck queue cannot make a
-///      deadline overshoot unbounded. Chunking never changes answers:
-///      scenarios are independent, so chunked results are bit-identical.
+/// The design invariants, in the order they matter:
 ///
-///   3. **Drain on stop.** `Stop()` closes the listener, half-closes every
-///      connection (no new requests), lets the workers finish everything
-///      already admitted, and only then tears down — an accepted request is
-///      never abandoned.
+///   1. **Verify-gated swap.** A new session arrives through `Swap()` only
+///      after the caller (the `SnapshotWatcher`) has taken it through
+///      parse → checksum → static verifier. The swap is an atomic pointer
+///      publish; requests admitted before it finish on the session they
+///      started with, so every response is computed against exactly one
+///      coherent version — never a mix.
+///
+///   2. **Bounded admission.** Admitted requests enter a fixed-capacity
+///      queue; when it is full the server sheds (kUnavailable + retry-after
+///      hint) instead of buffering. Every request carries a deadline;
+///      workers check it before execution and — for large batches —
+///      between scenario chunks. Chunking never changes answers: scenarios
+///      are independent, so chunked results are bit-identical.
+///
+///   3. **Drain on stop.** `Stop()` sheds the frames already received,
+///      half-closes every connection, lets the workers finish everything
+///      already admitted, and only then tears down.
 ///
 /// Identical concurrent batches coalesce: requests whose scenario sets
 /// share a content fingerprint (and that target the same snapshot version)
@@ -100,13 +107,13 @@ class CobraServer {
   void Swap(std::shared_ptr<const core::CompiledSession> session,
             const std::string& name);
 
-  /// Binds, listens, and starts the acceptor + worker threads. Serving
+  /// Binds, listens, and starts the I/O thread and the workers. Serving
   /// without a session is legal (requests answer kFailedPrecondition until
   /// the first Swap).
   util::Status Start();
 
-  /// Graceful shutdown: stop accepting, half-close connections, drain the
-  /// queue, join everything. Idempotent; the destructor calls it.
+  /// Graceful shutdown: stop the I/O thread, half-close connections, drain
+  /// the queue, join everything. Idempotent; the destructor calls it.
   void Stop();
 
   /// The bound port (after Start; useful with options.port == 0).
@@ -116,12 +123,12 @@ class CobraServer {
 
   ServerStats stats() const;
 
-  /// The served snapshot: version counter (0 = none yet) and name.
-  std::uint64_t snapshot_version() const;
+  /// The served snapshot's name (empty before the first Swap).
   std::string snapshot_name() const;
 
-  /// Renders the stats + served version as text (the kStats response).
-  std::string StatsText() const;
+  /// Renders the stats + served version as text (the kStats response). The
+  /// name and version come from one published snapshot, never a mix.
+  std::string StatsText() const { return StatsText(CurrentSnapshot()); }
 
   /// Log sink (defaults to stderr via std::fprintf). Must be set before
   /// Start.
@@ -133,14 +140,6 @@ class CobraServer {
   struct PendingRequest;
   struct Inflight;
 
-  /// One connection's reader thread. `done` flips when the thread is about
-  /// to exit, so the acceptor can join and drop it instead of holding its
-  /// stack until Stop().
-  struct Reader {
-    std::thread thread;
-    std::atomic<bool> done{false};
-  };
-
   using Clock = std::chrono::steady_clock;
 
   /// What a request executes against: one coherent published version.
@@ -150,24 +149,28 @@ class CobraServer {
     std::string name;
   };
   ServedSnapshot CurrentSnapshot() const;
+  std::string StatsText(const ServedSnapshot& snapshot) const;
 
-  void AcceptLoop();
-  void ConnectionLoop(std::shared_ptr<Connection> conn);
+  void IoLoop();
   void WorkerLoop();
 
-  /// Admits one decoded request or answers with a shed/error response.
-  void AdmitOrShed(const std::shared_ptr<Connection>& conn,
-                   WireRequest request);
+  // I/O-thread handlers; false means the connection must be dropped.
+  bool ReadAndDispatch(const std::shared_ptr<Connection>& conn);
+  bool HandleFrame(const std::shared_ptr<Connection>& conn,
+                   std::string_view payload);
+  /// Admits one decoded request or answers with a shed response.
+  bool AdmitOrShed(const std::shared_ptr<Connection>& conn,
+                   WireRequest request, ServedSnapshot snapshot);
 
-  /// Executes one admitted request and writes its response.
+  /// Executes one queued request and writes its response.
   void Execute(PendingRequest& pending);
 
   /// The AssignBatch path: coalescing, chunking, deadline checks.
-  WireResponse RunAssignBatch(const PendingRequest& pending,
-                              const ServedSnapshot& snapshot);
+  WireResponse RunAssignBatch(const PendingRequest& pending);
 
-  void SendResponse(const std::shared_ptr<Connection>& conn,
-                    const WireResponse& response);
+  /// I/O-thread write under the connection's write lock: never blocks.
+  bool SendInline(const std::shared_ptr<Connection>& conn,
+                  const WireResponse& response);
 
   void Log(const std::string& line);
 
@@ -176,7 +179,7 @@ class CobraServer {
 
   int listen_fd_ = -1;
   int port_ = 0;
-  /// Self-pipe: written on Stop to wake the acceptor's poll.
+  /// Self-pipe: written on Stop to wake the I/O thread's poll.
   int wake_pipe_[2] = {-1, -1};
 
   std::atomic<bool> running_{false};
@@ -189,12 +192,9 @@ class CobraServer {
   std::condition_variable queue_cv_;
   std::deque<std::unique_ptr<PendingRequest>> queue_;
 
-  /// Guards conns_ and readers_. Finished readers and expired connection
-  /// handles are reaped on every accept, so both stay bounded by the live
-  /// connection count rather than by every connection ever accepted.
-  std::mutex conns_mu_;
-  std::vector<std::weak_ptr<Connection>> conns_;
-  std::list<Reader> readers_;
+  /// Open connections. Owned by the I/O thread; Stop() reads it only after
+  /// joining that thread.
+  std::vector<std::shared_ptr<Connection>> conns_;
 
   /// Coalescing table: (scenario fingerprint, snapshot version) → the
   /// in-flight execution other identical requests wait on.
@@ -203,7 +203,7 @@ class CobraServer {
            std::shared_ptr<Inflight>>
       inflight_;
 
-  std::thread acceptor_;
+  std::thread io_thread_;
   std::vector<std::thread> workers_;
 
   std::atomic<std::uint64_t> accepted_{0};

@@ -384,10 +384,12 @@ namespace {
 /// turns a write to a closed peer into EPIPE instead of SIGPIPE, so an
 /// embedding process that keeps the default signal disposition is not
 /// killed before the Unavailable branch below can run.
-util::Status WriteAll(int fd, const char* data, std::size_t size) {
+util::Status WriteAll(int fd, const char* data, std::size_t size,
+                      int flags) {
   std::size_t written = 0;
   while (written < size) {
-    const ssize_t n = ::send(fd, data + written, size - written, MSG_NOSIGNAL);
+    const ssize_t n =
+        ::send(fd, data + written, size - written, MSG_NOSIGNAL | flags);
     if (n < 0) {
       if (errno == EINTR) continue;
       if (errno == EPIPE || errno == ECONNRESET) {
@@ -432,28 +434,9 @@ util::Status ReadAll(int fd, char* data, std::size_t size,
   return util::Status::OK();
 }
 
-}  // namespace
-
-util::Status WriteFrame(int fd, std::string_view payload) {
-  if (payload.size() > kMaxFrameBytes) {
-    return util::Status::InvalidArgument(util::StrFormat(
-        "frame payload of %zu bytes exceeds the %u-byte frame limit",
-        payload.size(), kMaxFrameBytes));
-  }
-  char prefix[4];
-  const std::uint32_t size = static_cast<std::uint32_t>(payload.size());
-  for (int i = 0; i < 4; ++i) prefix[i] = static_cast<char>(size >> (8 * i));
-  COBRA_RETURN_IF_ERROR(WriteAll(fd, prefix, sizeof(prefix)));
-  return WriteAll(fd, payload.data(), payload.size());
-}
-
-util::Status ReadFrame(int fd, std::string* payload, bool* closed) {
-  payload->clear();
-  *closed = false;
-  char prefix[4];
-  COBRA_RETURN_IF_ERROR(
-      ReadAll(fd, prefix, sizeof(prefix), /*allow_clean_eof=*/true, closed));
-  if (*closed) return util::Status::OK();
+/// Decodes a frame's 4-byte little-endian length prefix and checks it
+/// against kMaxFrameBytes.
+util::Result<std::uint32_t> FrameLength(const char* prefix) {
   std::uint32_t size = 0;
   for (int i = 0; i < 4; ++i) {
     size |= static_cast<std::uint32_t>(static_cast<unsigned char>(prefix[i]))
@@ -464,10 +447,47 @@ util::Status ReadFrame(int fd, std::string* payload, bool* closed) {
         "frame length prefix %u exceeds the %u-byte frame limit", size,
         kMaxFrameBytes));
   }
-  payload->resize(size);
+  return size;
+}
+
+}  // namespace
+
+util::Status WriteFrame(int fd, std::string_view payload, int flags) {
+  if (payload.size() > kMaxFrameBytes) {
+    return util::Status::InvalidArgument(util::StrFormat(
+        "frame payload of %zu bytes exceeds the %u-byte frame limit",
+        payload.size(), kMaxFrameBytes));
+  }
+  char prefix[4];
+  const std::uint32_t size = static_cast<std::uint32_t>(payload.size());
+  for (int i = 0; i < 4; ++i) prefix[i] = static_cast<char>(size >> (8 * i));
+  COBRA_RETURN_IF_ERROR(WriteAll(fd, prefix, sizeof(prefix), flags));
+  return WriteAll(fd, payload.data(), payload.size(), flags);
+}
+
+util::Status ReadFrame(int fd, std::string* payload, bool* closed) {
+  payload->clear();
+  *closed = false;
+  char prefix[4];
+  COBRA_RETURN_IF_ERROR(
+      ReadAll(fd, prefix, sizeof(prefix), /*allow_clean_eof=*/true, closed));
+  if (*closed) return util::Status::OK();
+  util::Result<std::uint32_t> size = FrameLength(prefix);
+  if (!size.ok()) return size.status();
+  payload->resize(*size);
   bool ignored = false;
-  return ReadAll(fd, payload->data(), size, /*allow_clean_eof=*/false,
+  return ReadAll(fd, payload->data(), *size, /*allow_clean_eof=*/false,
                  &ignored);
+}
+
+util::Result<std::size_t> SplitFrame(std::string_view buffered,
+                                     std::string_view* payload) {
+  if (buffered.size() < 4) return std::size_t{0};
+  util::Result<std::uint32_t> size = FrameLength(buffered.data());
+  if (!size.ok()) return size.status();
+  if (buffered.size() - 4 < *size) return std::size_t{0};
+  *payload = buffered.substr(4, *size);
+  return std::size_t{4} + *size;
 }
 
 // ---------------------------------------------------------------------------

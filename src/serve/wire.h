@@ -1,6 +1,7 @@
 #ifndef COBRA_SERVE_WIRE_H_
 #define COBRA_SERVE_WIRE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -130,15 +131,25 @@ util::Result<WireRequest> DecodeRequest(std::string_view payload);
 util::Result<WireResponse> DecodeResponse(std::string_view payload);
 
 /// Writes one frame (length prefix + payload) to `fd`, handling partial
-/// writes and EINTR. Fails with InvalidArgument if payload exceeds
-/// kMaxFrameBytes, Unavailable if the peer closed, IoError otherwise.
-util::Status WriteFrame(int fd, std::string_view payload);
+/// writes and EINTR. `flags` are added to each send() (MSG_DONTWAIT makes
+/// a full send buffer an IoError, possibly after part of the frame). Fails
+/// with InvalidArgument if payload exceeds kMaxFrameBytes, Unavailable if
+/// the peer closed, IoError otherwise.
+util::Status WriteFrame(int fd, std::string_view payload, int flags = 0);
 
 /// Reads one frame from `fd`. On a clean close at a frame boundary sets
 /// `*closed` and returns OK with `*payload` empty; EOF mid-frame, an
 /// oversized length prefix, or a read error fail with a descriptive
 /// Status.
 util::Status ReadFrame(int fd, std::string* payload, bool* closed);
+
+/// Splits the first frame off `buffered`, the bytes received so far. When
+/// it is complete, points `*payload` at it and returns the bytes it spans
+/// (prefix included); otherwise returns 0. An oversized length prefix
+/// fails with InvalidArgument as soon as the prefix is in, before any of
+/// the payload.
+util::Result<std::size_t> SplitFrame(std::string_view buffered,
+                                     std::string_view* payload);
 
 /// A blocking client connection — what `cobra_client`, the CI smoke, and
 /// the integration tests use to talk to a server.

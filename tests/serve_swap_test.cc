@@ -178,6 +178,63 @@ TEST(ServeSwapTest, HammeredSwapsServeExactlyOneCoherentVersion) {
   EXPECT_GT(server.stats().swaps, 2u);
 }
 
+/// Splits "serving snapshot '<name>' version <n>\n..." into name and n.
+bool ParseStatsHeader(const std::string& text, std::string* name,
+                      std::uint64_t* version) {
+  const std::string prefix = "serving snapshot '";
+  const std::size_t close = text.find("' version ");
+  if (text.rfind(prefix, 0) != 0 || close == std::string::npos) return false;
+  *name = text.substr(prefix.size(), close - prefix.size());
+  *version = std::stoull(text.substr(close + 10));
+  return true;
+}
+
+TEST(ServeSwapTest, StatsPairEachVersionWithItsOwnName) {
+  Session session;
+  std::shared_ptr<const CompiledSession> snapshot = ExampleSnapshot(&session);
+  CobraServer server(ServerOptions{});
+  server.set_log([](const std::string&) {});
+  ASSERT_TRUE(server.Start().ok());
+  server.Swap(snapshot, "v1");  // version 1
+
+  // Version N is always published as "vN".
+  std::atomic<bool> stop{false};
+  std::thread swapper([&] {
+    for (std::uint64_t n = 2; !stop.load(); ++n) {
+      server.Swap(snapshot, "v" + std::to_string(n));
+    }
+  });
+
+  util::Result<Client> client =
+      Client::Connect("127.0.0.1", server.port(), /*timeout_ms=*/30000);
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  int mismatches = 0;
+  std::uint64_t last_version = 0;
+  for (std::uint64_t i = 1; i <= 300; ++i) {
+    WireRequest request;
+    request.type = MsgType::kStats;
+    request.request_id = i;
+    util::Result<WireResponse> response = client->Call(request);
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    std::string name;
+    std::uint64_t version = 0;
+    ASSERT_TRUE(ParseStatsHeader(response->stats_text, &name, &version))
+        << response->stats_text;
+    if (name != "v" + std::to_string(version) ||
+        response->snapshot_version != version) {
+      ++mismatches;
+    }
+    ASSERT_TRUE(ParseStatsHeader(server.StatsText(), &name, &version));
+    if (name != "v" + std::to_string(version)) ++mismatches;
+    last_version = version;
+  }
+  stop.store(true);
+  swapper.join();
+  server.Stop();
+  EXPECT_EQ(mismatches, 0);
+  EXPECT_GT(last_version, 1u) << "the swapper never published a version";
+}
+
 TEST(ServeSwapTest, RequestsBeforeFirstSwapFailPrecondition) {
   CobraServer server(ServerOptions{});
   server.set_log([](const std::string&) {});

@@ -223,6 +223,39 @@ TEST(WireTest, OversizedLengthPrefixRejectedBeforeAllocation) {
   ::close(fds[1]);
 }
 
+TEST(WireTest, SplitFrameWaitsForWholeFramesAndRejectsOversizedPrefix) {
+  const std::string first = EncodeRequest(ExampleBatchRequest());
+  std::string buffered(4, '\0');
+  const auto size = static_cast<std::uint32_t>(first.size());
+  std::memcpy(buffered.data(), &size, 4);
+  buffered += first;
+  buffered += std::string("\x05\0\0\0ab", 6);  // Half of a second frame.
+
+  std::string_view payload;
+  for (std::size_t cut = 0; cut < 4 + first.size(); ++cut) {
+    util::Result<std::size_t> none =
+        SplitFrame(std::string_view(buffered).substr(0, cut), &payload);
+    ASSERT_TRUE(none.ok()) << "cut " << cut;
+    EXPECT_EQ(*none, 0u) << "cut " << cut;
+  }
+  util::Result<std::size_t> whole = SplitFrame(buffered, &payload);
+  ASSERT_TRUE(whole.ok());
+  EXPECT_EQ(*whole, 4 + first.size());
+  EXPECT_EQ(payload, first);
+  util::Result<std::size_t> rest =
+      SplitFrame(std::string_view(buffered).substr(*whole), &payload);
+  ASSERT_TRUE(rest.ok());
+  EXPECT_EQ(*rest, 0u);
+
+  // The length check needs the prefix alone, not the payload it claims.
+  const std::uint32_t huge = kMaxFrameBytes + 1;
+  std::string hostile(4, '\0');
+  std::memcpy(hostile.data(), &huge, 4);
+  util::Result<std::size_t> rejected = SplitFrame(hostile, &payload);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), util::StatusCode::kInvalidArgument);
+}
+
 TEST(WireTest, WriteFrameToClosedPeerIsUnavailableNotSigpipe) {
   // The test process keeps SIGPIPE's default disposition (terminate), so a
   // write that raised it would kill the binary instead of failing the test.
