@@ -176,10 +176,6 @@ int main() {
   core::StreamOptions options;
   options.batch.num_threads = num_threads;
   options.batch.stream_block_scenarios = window;
-  // One polynomial's term-slice boundaries change with chunk geometry, and
-  // with them the FP summation order; disable splitting so the prefix
-  // comparison below can demand bitwise equality.
-  options.batch.split_min_terms = std::size_t{1} << 30;
 
   // (1) Exhaustive kAll stream: the throughput/memory baseline. The
   // consumer captures the first `prefix` rows for the bit-identity check.

@@ -14,7 +14,12 @@
 //
 // verifies (a) == (b) bit-for-bit for every scenario, spot-checks a sample
 // against sequential Session::Assign(), and exits non-zero unless the
-// blocked sweep is >= 2x the scalar sparse one. A machine-readable
+// blocked sweep is >= 2x the scalar sparse one. A small-batch leg then
+// replays the daemon's common request, 8 and 64 scenarios of 16 overrides
+// each, and exits non-zero unless kAuto resolves it to the blocked kernel
+// and runs it >= 2x faster than pinned kSparseDelta. Every timing is of
+// warm (plan-cached) calls, the median of rounds that alternate the
+// engines so drift on a shared host hits both alike. A machine-readable
 // BENCH_a7.json lands next to the human output for cross-PR tracking.
 //
 // Knobs: COBRA_A7_SCENARIOS (1024), COBRA_A7_SF (0.01, TPC-H scale factor),
@@ -62,6 +67,50 @@ core::ScenarioSet MakeScenarios(const core::Session& session, std::size_t n) {
   return set;
 }
 
+/// `n` scenarios of `deltas` overrides each over distinct meta-variables
+/// (as many as the cut has), scenario i starting at meta-variable 3i.
+core::ScenarioSet MakeWideScenarios(const core::Session& session,
+                                    std::size_t n, std::size_t deltas) {
+  const std::vector<core::MetaVar>& meta = session.meta_vars();
+  core::ScenarioSet set;
+  for (std::size_t i = 0; i < n; ++i) {
+    auto s = set.Add("wide-" + std::to_string(i)).ValueOrDie();
+    for (std::size_t d = 0; d < std::min(deltas, meta.size()); ++d) {
+      s.Set(meta[(3 * i + d) % meta.size()].name,
+            1.0 + 0.002 * static_cast<double>((i + d) % 50 + 1));
+    }
+  }
+  return set;
+}
+
+double Median(std::vector<double> samples) {
+  std::nth_element(samples.begin(), samples.begin() + samples.size() / 2,
+                   samples.end());
+  return samples[samples.size() / 2];
+}
+
+/// Median seconds per warm AssignBatch call of `scenarios` under each of
+/// `configs`. Each round times `calls` back-to-back calls per config, the
+/// configs alternating within the round. The caller warms the plans.
+std::vector<double> InterleavedMedians(
+    const core::CompiledSession& snapshot, const core::ScenarioSet& scenarios,
+    const std::vector<core::BatchOptions>& configs, std::size_t rounds,
+    std::size_t calls) {
+  std::vector<std::vector<double>> samples(configs.size());
+  for (std::size_t r = 0; r < rounds; ++r) {
+    for (std::size_t c = 0; c < configs.size(); ++c) {
+      samples[c].push_back(bench::TimeSeconds([&] {
+        for (std::size_t k = 0; k < calls; ++k) {
+          snapshot.AssignBatch(scenarios, configs[c]).ValueOrDie();
+        }
+      }) / static_cast<double>(calls));
+    }
+  }
+  std::vector<double> medians;
+  for (const std::vector<double>& s : samples) medians.push_back(Median(s));
+  return medians;
+}
+
 /// Largest absolute per-group difference between two batched reports.
 double MaxBatchDifference(const core::BatchAssignReport& a,
                           const core::BatchAssignReport& b) {
@@ -90,6 +139,9 @@ int main() {
   const std::size_t bound_pct = bench::EnvSize("COBRA_A7_BOUND_PCT", 60);
   const std::size_t check = bench::EnvSize("COBRA_A7_CHECK", 16);
   const std::size_t lanes = bench::EnvSize("COBRA_A7_LANES", 8);
+  // Interleaved timing rounds per leg; the median rejects a round that a
+  // neighbour on a shared host slowed.
+  constexpr std::size_t kRounds = 9;
 
   bench::Header("A7: high-cardinality batched serving (per-order TPC-H)");
 
@@ -143,22 +195,23 @@ int main() {
   blocked.sweep = core::BatchOptions::Sweep::kBlocked;
   blocked.block_lanes = lanes;
 
-  // Wall-clock around the whole call: the blocked engine's cost includes
-  // its per-block override-table construction.
-  core::BatchAssignReport sparse_batch;
-  const double sparse_seconds = bench::TimeSeconds([&] {
-    sparse_batch = snapshot->AssignBatch(scenarios, sparse).ValueOrDie();
-  });
-  core::BatchAssignReport blocked_batch;
-  const double blocked_seconds = bench::TimeSeconds([&] {
-    blocked_batch = snapshot->AssignBatch(scenarios, blocked).ValueOrDie();
-  });
+  // The first (planning) calls give the results the checks below compare;
+  // the timings are warm calls, so both engines pay the same plan-cache
+  // lookup and neither pays planning.
+  const core::BatchAssignReport sparse_batch =
+      snapshot->AssignBatch(scenarios, sparse).ValueOrDie();
+  const core::BatchAssignReport blocked_batch =
+      snapshot->AssignBatch(scenarios, blocked).ValueOrDie();
+  const std::vector<double> big_medians = InterleavedMedians(
+      *snapshot, scenarios, {sparse, blocked}, kRounds, /*calls=*/1);
+  const double sparse_seconds = big_medians[0];
+  const double blocked_seconds = big_medians[1];
 
   // Multi-threaded coverage: the same blocked sweep with threads > 1 drives
-  // the work-stealing tile pool (a single-threaded run never spawns it) and
-  // must stay bit-identical — the fixed-order partial reduction makes the
-  // result schedule-independent. COBRA_A7_MT_THREADS (default: hardware,
-  // floored at 2 so single-core hosts still exercise the pool).
+  // the sweep pool (a single-threaded run never wakes it) and must stay
+  // bit-identical — every polynomial is summed whole by one thread, so the
+  // result does not depend on the schedule. COBRA_A7_MT_THREADS (default:
+  // hardware, floored at 2 so single-core hosts still exercise the pool).
   const std::size_t mt_threads = std::max<std::size_t>(
       2, bench::EnvSize("COBRA_A7_MT_THREADS",
                         std::thread::hardware_concurrency()));
@@ -195,6 +248,43 @@ int main() {
     }
   }
   session.ResetMetaValues().CheckOK();
+
+  // Small-batch leg: kAuto against pinned kSparseDelta on the daemon's
+  // common request sizes, 16 overrides per scenario, warm.
+  constexpr std::size_t kSmallDeltas = 16;
+  constexpr std::size_t kSmallCallsPerSample = 16;
+  const std::size_t small_sizes[] = {8, 64};
+  core::BatchOptions small_auto;
+  small_auto.num_threads = num_threads;
+  core::BatchOptions small_sparse = sparse;
+  bool small_auto_blocked = true;
+  double small_ratio[2] = {0.0, 0.0};
+  double small_auto_seconds[2] = {0.0, 0.0};
+  double small_sparse_seconds[2] = {0.0, 0.0};
+  for (std::size_t k = 0; k < 2; ++k) {
+    const core::ScenarioSet small =
+        MakeWideScenarios(session, small_sizes[k], kSmallDeltas);
+    const core::BatchAssignReport auto_batch =
+        snapshot->AssignBatch(small, small_auto).ValueOrDie();
+    const core::BatchAssignReport sparse_small =
+        snapshot->AssignBatch(small, small_sparse).ValueOrDie();
+    max_diff = std::max(max_diff, MaxBatchDifference(auto_batch, sparse_small));
+    small_auto_blocked =
+        small_auto_blocked &&
+        auto_batch.engine == core::BatchOptions::Sweep::kBlocked;
+    const std::vector<double> medians =
+        InterleavedMedians(*snapshot, small, {small_sparse, small_auto},
+                           kRounds, kSmallCallsPerSample);
+    small_sparse_seconds[k] = medians[0];
+    small_auto_seconds[k] = medians[1];
+    small_ratio[k] = bench::Ratio(medians[0], medians[1]);
+    std::printf(
+        "small batch %3zu x %zu: kAuto=%s/%zu %.1fus  sparse %.1fus  "
+        "kAuto vs sparse=%.1fx\n",
+        small_sizes[k], kSmallDeltas, core::SweepName(auto_batch.engine),
+        auto_batch.block_lanes, medians[1] * 1e6, medians[0] * 1e6,
+        small_ratio[k]);
+  }
 
   const double blocked_vs_sparse =
       bench::Ratio(sparse_seconds, blocked_seconds);
@@ -233,6 +323,14 @@ int main() {
   json.Add("threads_mt", blocked_mt_batch.num_threads);
   json.Add("blocked_seconds_mt", blocked_mt_seconds);
   json.Add("blocked_vs_sparse", blocked_vs_sparse);
+  json.Add("timing_rounds", kRounds);
+  json.Add("small_auto_blocked", small_auto_blocked);
+  json.Add("small8_auto_seconds", small_auto_seconds[0]);
+  json.Add("small8_sparse_seconds", small_sparse_seconds[0]);
+  json.Add("small8_auto_vs_sparse", small_ratio[0]);
+  json.Add("small64_auto_seconds", small_auto_seconds[1]);
+  json.Add("small64_sparse_seconds", small_sparse_seconds[1]);
+  json.Add("small64_auto_vs_sparse", small_ratio[1]);
   json.Add("max_diff", max_diff);
   json.Add("identical", max_diff == 0.0);
   json.WriteFile("BENCH_a7.json");
@@ -240,6 +338,9 @@ int main() {
   bench::GateSet gates;
   gates.Require("identical", max_diff == 0.0);
   gates.Require("blocked_vs_sparse>=2x", blocked_vs_sparse >= 2.0);
+  gates.Require("small_auto_is_blocked", small_auto_blocked);
+  gates.Require("small8_auto_vs_sparse>=2x", small_ratio[0] >= 2.0);
+  gates.Require("small64_auto_vs_sparse>=2x", small_ratio[1] >= 2.0);
   gates.Print();
   return gates.ExitCode();
 }

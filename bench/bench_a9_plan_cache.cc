@@ -196,9 +196,9 @@ int main() {
   }
 
   // Multi-threaded coverage: one warm replay with threads > 1 drives the
-  // work-stealing tile pool (a single-threaded run never spawns it) and
-  // must stay bit-identical — the fixed-order partial reduction makes the
-  // result schedule-independent. COBRA_A9_MT_THREADS (default: hardware,
+  // sweep pool (a single-threaded run never wakes it) and must stay
+  // bit-identical — every polynomial is summed whole by one thread, so the
+  // result does not depend on the schedule. COBRA_A9_MT_THREADS (default: hardware,
   // floored at 2 so single-core hosts still exercise the pool).
   const std::size_t mt_threads = std::max<std::size_t>(
       2, bench::EnvSize("COBRA_A9_MT_THREADS",

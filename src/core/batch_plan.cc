@@ -26,66 +26,50 @@ constexpr std::size_t kAutoMinBlockedWeight = 2048;
 /// factor before blocking pays.
 constexpr std::size_t kAutoOverrideWeightFactor = 32;
 
-/// Below this many scenarios the adaptive policy stays on the scalar sparse
-/// engine even for heavy programs. Fit from the accumulated bench record:
-/// BENCH_a6 measured blocked at 0.79x sparse with 64 scenarios while
-/// BENCH_a7 measured 3.5x at 1024 — the block-table builds and tile
-/// dispatch only amortize once a couple hundred scenarios share them, so
-/// the old crossover (blocked from 2 scenarios up) was wrong on both
-/// workloads.
-constexpr std::size_t kAutoMinBlockedScenarios = 128;
-
 /// From this many scenarios up the adaptive policy widens blocks to 16
 /// lanes: with hundreds of blocks the wider ragged tail is noise and the
 /// per-factor bookkeeping (row lookup, base load) is amortized over twice
 /// the scenarios per program scan.
 constexpr std::size_t kAutoWideLanesMinScenarios = 512;
 
+/// When a batch has fewer scenario blocks than threads, the planner splits
+/// each program into whole-polynomial ranges so spare threads share one
+/// block's scan, but never into ranges of fewer than this many terms on
+/// average.
+constexpr std::size_t kPartitionMinTerms = 1024;
+
+/// Scan work (terms + factors, times program scans) a sweep must have per
+/// worker before another worker joins. A warm blocked sweep of a small
+/// batch takes about a microsecond, less than waking a pool helper costs,
+/// so small sweeps run on the calling thread alone.
+constexpr std::size_t kMinScanWorkPerWorker = 4096;
+
 /// Builds the tile schedule for one program: whole-poly ranges sized by
-/// PartitionPolys, with the dominant-polynomial term-splitting fallback —
-/// exactly the tiling AssignBatch used to rebuild per call, now derived
-/// once at planning time.
+/// PartitionPolys, and the worker count the sweep of this side uses:
+/// min(threads, tiles, ceil(scan work / kMinScanWorkPerWorker)), where one
+/// scan per scenario block reads every term and factor once.
 ProgramSchedule MakeSchedule(const prov::EvalProgram& program,
-                             std::size_t threads, std::size_t num_blocks,
-                             const BatchOptions& options) {
+                             std::size_t threads, std::size_t num_blocks) {
   ProgramSchedule schedule;
   schedule.num_polys = program.NumPolys();
-  schedule.split_poly = schedule.num_polys;
 
   std::size_t parts = 1;
-  if (threads > num_blocks && options.partition_min_terms > 0) {
+  if (threads > num_blocks) {
     const std::size_t want = (threads + num_blocks - 1) / num_blocks;
-    const std::size_t cap =
-        program.NumTerms() / options.partition_min_terms + 1;
+    const std::size_t cap = program.NumTerms() / kPartitionMinTerms + 1;
     parts = std::min(want, cap);
   }
   const std::vector<std::uint32_t> bounds = program.PartitionPolys(parts);
+  for (std::size_t r = 0; r + 1 < bounds.size(); ++r) {
+    schedule.ranges.emplace_back(bounds[r], bounds[r + 1]);
+  }
 
-  if (parts > bounds.size() - 1 && options.split_min_terms > 0) {
-    schedule.split_poly = program.DominantPoly(options.split_min_terms);
-  }
-  if (schedule.split_poly < schedule.num_polys) {
-    const std::uint32_t sp = static_cast<std::uint32_t>(schedule.split_poly);
-    for (std::size_t r = 0; r + 1 < bounds.size(); ++r) {
-      const std::uint32_t begin = bounds[r];
-      const std::uint32_t end = bounds[r + 1];
-      if (sp >= begin && sp < end) {
-        if (sp > begin) schedule.ranges.emplace_back(begin, sp);
-        if (sp + 1 < end) schedule.ranges.emplace_back(sp + 1, end);
-      } else {
-        schedule.ranges.emplace_back(begin, end);
-      }
-    }
-    const std::size_t spare = parts > schedule.ranges.size()
-                                  ? parts - schedule.ranges.size()
-                                  : 2;
-    schedule.term_bounds = program.PartitionTerms(
-        schedule.split_poly, std::max<std::size_t>(2, spare));
-  } else {
-    for (std::size_t r = 0; r + 1 < bounds.size(); ++r) {
-      schedule.ranges.emplace_back(bounds[r], bounds[r + 1]);
-    }
-  }
+  const std::size_t work =
+      (program.NumTerms() + program.factors().size()) * num_blocks;
+  const std::size_t by_work =
+      (work + kMinScanWorkPerWorker - 1) / kMinScanWorkPerWorker;
+  schedule.workers = std::max<std::size_t>(
+      1, std::min({threads, num_blocks * schedule.slices(), by_work}));
   return schedule;
 }
 
@@ -176,12 +160,11 @@ BaseFingerprint FingerprintBase(const prov::Valuation& base,
 EnginePick ChooseAutoEngine(std::size_t program_weight,
                             std::size_t num_scenarios,
                             std::size_t max_override_width) {
-  // Policy table (fit from BENCH_a6/a7; see the header comment):
-  //   n < 128, weight < 2048, or weight < 32 x override width -> sparse
-  //   128 <= n < 512 -> blocked, 8 lanes
-  //   n >= 512       -> blocked, 16 lanes
-  if (num_scenarios < kAutoMinBlockedScenarios ||
-      program_weight < kAutoMinBlockedWeight ||
+  // Policy table (see the header comment):
+  //   weight < 2048, or weight < 32 x override width -> sparse
+  //   n < 512  -> blocked, 8 lanes
+  //   n >= 512 -> blocked, 16 lanes
+  if (program_weight < kAutoMinBlockedWeight ||
       program_weight < kAutoOverrideWeightFactor * max_override_width) {
     return {BatchOptions::Sweep::kSparseDelta, 1};
   }
@@ -321,10 +304,9 @@ util::Result<std::shared_ptr<const PlanCore>> PlanCore::Create(
     }
   }
 
-  core->full_schedule_ =
-      MakeSchedule(sweep_full, threads, core->num_blocks_, options);
+  core->full_schedule_ = MakeSchedule(sweep_full, threads, core->num_blocks_);
   core->compressed_schedule_ =
-      MakeSchedule(compressed, threads, core->num_blocks_, options);
+      MakeSchedule(compressed, threads, core->num_blocks_);
 
   return std::shared_ptr<const PlanCore>(std::move(core));
 }

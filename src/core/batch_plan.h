@@ -74,33 +74,27 @@ struct CompiledScenario {
   std::vector<prov::VarOverride> overrides;
 };
 
-/// The tile schedule for one compiled program: whole-polynomial ranges,
-/// plus (when one polynomial dominates and whole-poly splitting could not
-/// fill the requested partitions) term-range slices of that polynomial
-/// whose partial sums are reduced in fixed slice order after the sweep.
-/// Derived once at planning time from the program shape, the thread budget
-/// and the partitioning knobs; execution only reads it.
+/// The tile schedule for one compiled program: whole-polynomial ranges and
+/// the number of workers that share them. Each polynomial lies in exactly
+/// one range and is summed whole, in compiled order, by one thread, so the
+/// schedule decides only who computes which cell, never a cell's bits.
+/// Derived once at planning time from the program shape, the scenario
+/// block count and the thread budget; execution only reads it.
 struct ProgramSchedule {
-  /// Whole-poly [begin, end) ranges; every polynomial not term-split is
-  /// covered by exactly one range.
+  /// Whole-poly [begin, end) ranges, in scan order, covering every
+  /// polynomial exactly once.
   std::vector<std::pair<std::uint32_t, std::uint32_t>> ranges;
 
-  /// The term-split polynomial, or `num_polys` when no splitting applies.
-  std::size_t split_poly = 0;
-
-  /// NumPolys() of the scheduled program (the "no split" sentinel value).
+  /// NumPolys() of the scheduled program.
   std::size_t num_polys = 0;
 
-  /// Absolute term bounds of the split polynomial's slices (empty when
-  /// split_poly == num_polys).
-  std::vector<std::uint32_t> term_bounds;
-
-  std::size_t term_slices() const {
-    return term_bounds.empty() ? 0 : term_bounds.size() - 1;
-  }
+  /// Threads the sweep of this side uses: the thread budget clamped to the
+  /// tile count and to the scan work, so a sweep too short to repay waking
+  /// a helper runs on the calling thread alone.
+  std::size_t workers = 1;
 
   /// Tiles per scenario block for this program.
-  std::size_t slices() const { return ranges.size() + term_slices(); }
+  std::size_t slices() const { return ranges.size(); }
 };
 
 /// The resolved engine choice of the `Sweep::kAuto` policy.
@@ -115,22 +109,19 @@ struct EnginePick {
 /// independent of the thread count (and of anything else nondeterministic),
 /// so the same workload always plans the same way.
 ///
-/// The thresholds are fit from the accumulated BENCH_a6/a7 measurements
-/// (blocked-vs-sparse ratio 0.79x at 64 scenarios, 3.5x at 1024 on the CI
-/// box): the blocked kernel's per-batch fixed costs — block-table
-/// sort/unique/index builds, tile dispatch — only amortize once there are a
-/// couple hundred scenarios to spread them over, and the 16-lane width only
-/// pays once blocks are plentiful enough that its wider ragged tail cannot
-/// dominate. Policy table:
+/// The blocked kernel wins at every batch size once the program scan
+/// outweighs its per-block fixed costs (override-union tables): a warm
+/// probe on A7's per-order program measured 8 lanes at 4.4-17x the sparse
+/// engine for every n from 1 to 127, and BENCH_a7 ~3.5x at 1024. The
+/// 16-lane width only pays once blocks are plentiful enough that its wider
+/// ragged tail cannot dominate. Policy table:
 ///
-///   scenarios < 128, weight < 2048, or weight < 32 x override width
+///   weight < 2048, or weight < 32 x override width
 ///                      -> kSparseDelta (scalar, 1 lane)
-///   128 <= scenarios < 512                    -> kBlocked, 8 lanes
+///   scenarios < 512                           -> kBlocked, 8 lanes
 ///   scenarios >= 512                          -> kBlocked, 16 lanes
 ///
-/// (4 lanes remains reachable by pinning `block_lanes = 4` explicitly; the
-/// policy never picks it because a batch small enough to want narrow blocks
-/// is below the blocked crossover entirely.)
+/// (4 lanes remains reachable by pinning `block_lanes = 4` explicitly.)
 EnginePick ChooseAutoEngine(std::size_t program_weight,
                             std::size_t num_scenarios,
                             std::size_t max_override_width);
@@ -211,7 +202,8 @@ class PlanCore {
   /// otherwise.
   std::size_t lanes() const { return lanes_; }
 
-  /// Worker threads the sweep will use (the resolved `num_threads`).
+  /// The resolved thread budget (`num_threads`, 0 resolved to the core
+  /// count). Each side's schedule clamps it to that side's work.
   std::size_t num_threads() const { return num_threads_; }
 
   std::size_t num_scenarios() const { return scenario_names_.size(); }
@@ -315,7 +307,7 @@ class StreamPlan {
   /// Scenario lanes per block (4/8/16 blocked, 1 scalar).
   std::size_t lanes() const { return lanes_; }
 
-  /// Resolved worker thread count.
+  /// Resolved thread budget (each chunk's schedules clamp it to their work).
   std::size_t num_threads() const { return resolved_.num_threads; }
 
   /// Scenarios generated/lowered/swept per streamed block:

@@ -424,8 +424,6 @@ std::size_t CompiledSession::PlanCacheKeyHash::operator()(
   h = util::HashCombine(h, key.sweep);
   h = util::HashCombine(h, key.block_lanes);
   h = util::HashCombine(h, key.num_threads);
-  h = util::HashCombine(h, key.partition_min_terms);
-  h = util::HashCombine(h, key.split_min_terms);
   return static_cast<std::size_t>(h);
 }
 
@@ -440,8 +438,6 @@ CompiledSession::PlanCacheKey CompiledSession::MakePlanCacheKey(
   key.sweep = static_cast<std::uint32_t>(options.sweep);
   key.block_lanes = options.block_lanes;
   key.num_threads = options.num_threads;
-  key.partition_min_terms = options.partition_min_terms;
-  key.split_min_terms = options.split_min_terms;
   return key;
 }
 
@@ -673,80 +669,46 @@ void CompiledSession::SweepPlanProgram(const PlanCore& core,
   // additionally groups scenarios into blocks of `lanes` lanes: one scan of
   // the compiled arrays serves the whole block, with the overlay's
   // per-block override-union table patching individual lanes. Work runs as
-  // the core's (scenario-block × poly-range | term-range) tiles; disjoint
-  // tiles touch disjoint output cells, so the sweep is race-free and the
-  // merged result is schedule-independent. A blocked tile writes `lanes`
+  // the core's (scenario-block × poly-range) tiles on the schedule's
+  // workers; disjoint tiles touch disjoint output cells and every
+  // polynomial is summed whole by one thread, so the sweep is race-free and
+  // its bits do not depend on the schedule. A blocked tile writes `lanes`
   // adjacent rows of the scenario-major matrix with stride `polys`.
-  const std::size_t n = core.num_scenarios();
-  const std::size_t threads = core.num_threads();
   const bool use_blocks = core.engine() == BatchOptions::Sweep::kBlocked;
   const std::size_t lanes = core.lanes();
-  const std::size_t num_blocks = core.num_blocks();
   const std::vector<CompiledScenario>& compiled = core.compiled();
   const std::vector<prov::BlockOverrides>& block_tables =
       overlay.block_tables;
   const prov::Valuation& base = overlay.base;
   const std::size_t polys = program.NumPolys();
-
   const std::vector<std::pair<std::uint32_t, std::uint32_t>>& ranges =
       schedule.ranges;
-  const std::vector<std::uint32_t>& term_bounds = schedule.term_bounds;
-  const std::size_t term_slices = schedule.term_slices();
   const std::size_t slices = schedule.slices();
-  // Scenario-major partial sums of the split polynomial, one slot per term
-  // slice; reduced in fixed slice order after the join.
-  std::vector<double> partials(term_slices == 0 ? 0 : n * term_slices, 0.0);
 
-  const std::size_t tasks = num_blocks * slices;
+  const std::size_t tasks = core.num_blocks() * slices;
   auto run_task = [&](std::size_t t) {
     const std::size_t block = t / slices;
     // Early-exit mask (streaming queries): a pruned block's tiles are
     // no-ops, its rows stay untouched. Workers still claim the task ids —
     // the test is one load, far cheaper than compacting the tile list.
     if (block_mask != nullptr && block_mask[block] == 0) return;
-    const std::size_t s = t % slices;
+    const auto [begin, end] = ranges[t % slices];
     const std::size_t i0 = block * lanes;
     if (use_blocks) {
-      const prov::BlockOverrides& table = block_tables[block];
-      if (s < ranges.size()) {
-        program.EvalRangeBlocked(base, table, ranges[s].first,
-                                 ranges[s].second, flat + i0 * polys, polys);
-      } else {
-        const std::size_t k = s - ranges.size();
-        program.EvalTermRangeBlocked(base, table, term_bounds[k],
-                                     term_bounds[k + 1],
-                                     partials.data() + i0 * term_slices + k,
-                                     term_slices);
-      }
+      program.EvalRangeBlocked(base, block_tables[block], begin, end,
+                               flat + i0 * polys, polys);
     } else {
       const std::vector<prov::VarOverride>& ov = compiled[i0].overrides;
-      if (s < ranges.size()) {
-        program.EvalRangeWithOverrides(base, ov.data(), ov.size(),
-                                       ranges[s].first, ranges[s].second,
-                                       flat + i0 * polys);
-      } else {
-        const std::size_t k = s - ranges.size();
-        partials[i0 * term_slices + k] = program.EvalTermRangeWithOverrides(
-            base, ov.data(), ov.size(), term_bounds[k], term_bounds[k + 1]);
-      }
+      program.EvalRangeWithOverrides(base, ov.data(), ov.size(), begin, end,
+                                     flat + i0 * polys);
     }
   };
-  const std::size_t workers = std::min(threads, tasks);
+  const std::size_t workers = schedule.workers;
   *used_threads = std::max(*used_threads, workers);
   if (workers <= 1) {
     for (std::size_t t = 0; t < tasks; ++t) run_task(t);
   } else {
     SweepPool::Get().Run(tasks, workers, run_task);
-  }
-  if (term_slices > 0) {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (block_mask != nullptr && block_mask[i / lanes] == 0) continue;
-      double sum = 0.0;
-      for (std::size_t k = 0; k < term_slices; ++k) {
-        sum += partials[i * term_slices + k];
-      }
-      flat[i * polys + schedule.split_poly] = sum;
-    }
   }
 }
 
@@ -992,7 +954,6 @@ util::Result<SweepSummary> CompiledSession::AssignStream(
   summary.source_fingerprint = plan.source_fingerprint();
   summary.engine = plan.engine();
   summary.block_lanes = plan.lanes();
-  summary.num_threads = plan.num_threads();
   summary.window = plan.window();
   summary.labels = artifacts_->labels;
   const std::size_t groups = summary.labels.size();
@@ -1060,6 +1021,7 @@ util::Result<SweepSummary> CompiledSession::AssignStream(
   std::vector<double> metrics;
   std::vector<std::uint8_t> need_full;
   std::vector<std::uint8_t> mask;
+  std::size_t used_threads = 1;
   util::Timer timer;
 
   std::uint64_t begin = 0;
@@ -1105,7 +1067,6 @@ util::Result<SweepSummary> CompiledSession::AssignStream(
     // The compressed side always runs in full: it IS the metric, and
     // COBRA's premise makes it the cheap side.
     comp_flat.assign(count * polys_comp, 0.0);
-    std::size_t used_threads = 1;
     timer.Reset();
     SweepPlanProgram(core, *overlay, compressed, core.compressed_schedule(),
                      comp_flat.data(), &used_threads);
@@ -1261,6 +1222,7 @@ util::Result<SweepSummary> CompiledSession::AssignStream(
     }
   }
 
+  summary.num_threads = used_threads;
   if (query.kind == StreamQuery::Kind::kTopK) {
     std::sort(top.begin(), top.end(),
               [](const StreamEntry& a, const StreamEntry& b) {

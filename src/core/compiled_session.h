@@ -253,7 +253,7 @@ struct SweepSummary {
 
   BatchOptions::Sweep engine = BatchOptions::Sweep::kSparseDelta;
   std::size_t block_lanes = 1;
-  std::size_t num_threads = 1;
+  std::size_t num_threads = 1;     ///< Most worker threads any sweep used.
   std::size_t window = 0;          ///< Scenarios per streamed block.
   bool stopped_early = false;
 
@@ -446,9 +446,7 @@ class CompiledSession
   /// set, base, options) triple was planned before. The default
   /// `Sweep::kAuto` picks the engine and lane count adaptively (see
   /// `BatchOptions::Sweep`); results are bit-identical to sequential
-  /// `Assign()` for every engine (term splitting, when it triggers, is
-  /// deterministic but may regroup additions — see
-  /// `BatchOptions::split_min_terms`).
+  /// `Assign()` for every engine, lane width and thread count.
   util::Result<BatchAssignReport> AssignBatch(
       const ScenarioSet& scenarios,
       const prov::Valuation& base_meta_valuation,
@@ -486,11 +484,8 @@ class CompiledSession
   ///
   /// Equivalence contract: under `StreamQuery::Kind::kAll`, the full and
   /// compressed rows delivered for scenarios [0, P) are bit-identical to
-  /// materializing those P scenarios and calling `AssignBatch` (for every
-  /// engine; the one caveat is `split_min_terms` term-splitting, whose
-  /// regrouped additions may differ in the last ulp when the chunking
-  /// changes the block count — pin `split_min_terms = 0` for strict
-  /// identity on dominant-poly shapes, exactly as documented there).
+  /// materializing those P scenarios and calling `AssignBatch`, for every
+  /// engine, window and thread count.
   ///
   /// kTopK/kThreshold queries prune: a block whose lanes all fail the
   /// current cutoff skips its full-side sweep entirely (the compressed side
@@ -625,9 +620,9 @@ class CompiledSession
   /// Runs the sparse/blocked sweep of one program side for every scenario,
   /// writing the scenario-major result matrix (num_scenarios ×
   /// program.NumPolys(), row-major) to `flat` — the execution core shared
-  /// by Execute() and AssignGrid(). Performs exactly the same tile
-  /// dispatch, kernel calls and fixed-order partial reduction regardless of
-  /// the caller, so grid cells are bit-identical to batch results.
+  /// by Execute(), AssignGrid() and AssignStream(). Performs exactly the
+  /// same tile dispatch and kernel calls regardless of the caller, so grid
+  /// and stream cells are bit-identical to batch results.
   /// `used_threads` is raised (never lowered) to the worker count used.
   /// `block_mask`, when non-null, has one byte per scenario block; a block
   /// whose byte is 0 is skipped entirely (its rows in `flat` are left
@@ -652,8 +647,6 @@ class CompiledSession
     std::uint32_t sweep = 0;
     std::uint64_t block_lanes = 0;
     std::uint64_t num_threads = 0;
-    std::uint64_t partition_min_terms = 0;
-    std::uint64_t split_min_terms = 0;
 
     bool operator==(const PlanCacheKey&) const = default;
   };

@@ -365,9 +365,9 @@ struct BatchOptions {
   enum class Sweep {
     /// Adaptive policy (default): the batch planner picks the engine and
     /// lane count from the compiled program sizes, the scenario count, and
-    /// the override width — the blocked kernel whenever the program scan
-    /// dominates, falling back to `kSparseDelta` for tiny programs where the
-    /// per-batch fixed costs (block tables, tile dispatch) would dominate.
+    /// the override width — the blocked kernel at every batch size whenever
+    /// the program scan dominates, falling back to `kSparseDelta` for tiny
+    /// programs where the per-block override tables would dominate.
     /// The choice is deterministic and independent of the thread count, and
     /// every engine is bit-identical, so `kAuto` never changes results —
     /// pin one of the explicit engines below to A/B against it.
@@ -384,15 +384,18 @@ struct BatchOptions {
     /// Scalar sparse engine: each scenario is a small sorted (VarId, value)
     /// override list resolved during its own scan — no per-scenario
     /// valuation copies, but one full program read per scenario. The
-    /// small-batch engine (`kAuto` picks it when too few scenarios share a
-    /// scan for blocking to pay) and the test oracle every other engine is
-    /// checked bit for bit against.
+    /// tiny-program engine (`kAuto` picks it when the program is too short
+    /// to repay a block's override table) and the oracle every other
+    /// engine is checked bit for bit against.
     kSparseDelta,
   };
 
   /// Worker threads for the scenario sweep; 0 means
-  /// `std::thread::hardware_concurrency()`. Clamped to the number of
-  /// sweep tasks (scenario blocks × program partitions).
+  /// `std::thread::hardware_concurrency()`. Each program side clamps it to
+  /// its tasks (scenario blocks × polynomial ranges) and to its scan work,
+  /// so a small sweep runs on fewer threads, or on the caller alone. The
+  /// thread count never changes a result: every polynomial is summed
+  /// whole, in compiled order, by one thread.
   std::size_t num_threads = 0;
 
   Sweep sweep = Sweep::kAuto;
@@ -405,26 +408,6 @@ struct BatchOptions {
   /// everywhere; it only vectorizes to AVX-512 when the library is built
   /// with `COBRA_ENABLE_NATIVE_ARCH` on a machine that has it.
   std::size_t block_lanes = 8;
-
-  /// Intra-program partitioning (blocked + sparse sweeps): when there are
-  /// fewer scenario blocks than worker threads, each program is split into
-  /// contiguous polynomial ranges of at least this many terms so the spare
-  /// threads share one block's scan; per-scenario results stay bit-identical
-  /// because every polynomial is evaluated whole by exactly one thread.
-  /// 0 disables partitioning.
-  std::size_t partition_min_terms = 1024;
-
-  /// Term-range splitting fallback: when partitioning is active but one
-  /// polynomial dominates the program (more than half its evaluation weight,
-  /// e.g. an ungrouped aggregate) and has at least this many terms, that
-  /// polynomial's term range is split across threads and its value is
-  /// recovered by a fixed-order reduction of the slices' partial sums. The
-  /// reduction order is deterministic (independent of the thread schedule),
-  /// but regrouping the additions may differ from the unsplit scan in the
-  /// last ulp — hence the dedicated knob: 0 disables splitting and keeps
-  /// strict bit-identity with the sequential path even for dominant-poly
-  /// shapes.
-  std::size_t split_min_terms = 4096;
 
   /// Streaming window for `CompiledSession::AssignStream`: how many
   /// scenarios are generated, lowered, and swept per streamed block. Peak

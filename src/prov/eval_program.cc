@@ -106,28 +106,6 @@ void RunBlockedRange(const std::uint32_t* poly_starts,
   }
 }
 
-/// Term-range flavor of RunBlockedRange: accumulates the W partial sums for
-/// terms [term_begin, term_end) (all inside one polynomial) and writes lane
-/// l's partial to partials[l * lane_stride].
-template <int W>
-void RunBlockedTermRange(const std::uint32_t* term_starts,
-                         const double* coeffs, const VarId* factors,
-                         const double* base, const LaneTableView& table,
-                         std::size_t term_begin, std::size_t term_end,
-                         std::size_t num_lanes, double* partials,
-                         std::size_t lane_stride) {
-  double sum[W];
-#pragma omp simd
-  for (int l = 0; l < W; ++l) sum[l] = 0.0;
-  for (std::size_t t = term_begin; t < term_end; ++t) {
-    AddTermToLanes<W>(coeffs[t], factors, term_starts[t], term_starts[t + 1],
-                      base, table, sum);
-  }
-  for (std::size_t l = 0; l < num_lanes; ++l) {
-    partials[l * lane_stride] = sum[l];
-  }
-}
-
 }  // namespace
 
 BlockOverrides MakeBlockOverridesSkeleton(const OverrideSpan* lanes,
@@ -150,10 +128,9 @@ BlockOverrides MakeBlockOverridesSkeleton(const OverrideSpan* lanes,
     block.lo_ = block.vars_.front();
     block.hi_ = block.vars_.back();
   }
-  // Value rows stay zero until RebindBlockOverrides() binds a base — a
-  // skeleton handed to a kernel would multiply everything by 0, not crash,
-  // which is why only the rebinding path may publish one.
-  block.values_.assign(block.vars_.size() * block.width_, 0.0);
+  // No value rows until RebindBlockOverrides() binds a base: a plan core
+  // keeps its skeletons for as long as it is cached, and each overlay
+  // carries its own rows.
   // O(1) lookup fast path: when the union's id span is small, one row-index
   // array covers it (wider unions binary-search the sorted var array).
   if (!block.vars_.empty()) {
@@ -178,6 +155,7 @@ BlockOverrides RebindBlockOverrides(const BlockOverrides& block,
                   "RebindBlockOverrides: lane count does not match the "
                   "skeleton");
   BlockOverrides bound = block;
+  bound.values_.resize(bound.vars_.size() * bound.width_);
   if (!bound.vars_.empty()) {
     COBRA_CHECK_MSG(bound.vars_.back() < base.size(),
                     "RebindBlockOverrides: override variable outside the "
@@ -376,6 +354,9 @@ void EvalProgram::EvalRangeBlocked(const Valuation& base,
                   "EvalProgram::EvalRangeBlocked: valuation too small");
   COBRA_CHECK_MSG(poly_begin <= poly_end && poly_end <= NumPolys(),
                   "EvalProgram::EvalRangeBlocked: bad poly range");
+  COBRA_CHECK_MSG(block.values_.size() == block.vars_.size() * block.width_,
+                  "EvalProgram::EvalRangeBlocked: block table has no value "
+                  "rows (an unbound skeleton)");
   const double* values = base.values().data();
   const LaneTableView table{
       block.vars_.data(), block.values_.data(),
@@ -396,62 +377,6 @@ void EvalProgram::EvalRangeBlocked(const Valuation& base,
                         coeffs_.data(), factors_.data(), values, table,
                         poly_begin, poly_end, block.num_lanes_, out,
                         lane_stride);
-  }
-}
-
-double EvalProgram::EvalTermRangeWithOverrides(const Valuation& base,
-                                               const VarOverride* overrides,
-                                               std::size_t num_overrides,
-                                               std::size_t term_begin,
-                                               std::size_t term_end) const {
-  COBRA_CHECK_MSG(base.size() >= min_valuation_size_,
-                  "EvalProgram::EvalTermRangeWithOverrides: valuation too "
-                  "small");
-  COBRA_CHECK_MSG(term_begin <= term_end && term_end <= NumTerms(),
-                  "EvalProgram::EvalTermRangeWithOverrides: bad term range");
-  const double* values = base.values().data();
-  double sum = 0.0;
-  for (std::size_t t = term_begin; t < term_end; ++t) {
-    double prod = coeffs_[t];
-    for (std::uint32_t f = term_starts_[t]; f < term_starts_[t + 1]; ++f) {
-      const VarId var = factors_[f];
-      double v = values[var];
-      for (std::size_t o = 0; o < num_overrides; ++o) {
-        if (overrides[o].var == var) v = overrides[o].value;
-      }
-      prod *= v;
-    }
-    sum += prod;
-  }
-  return sum;
-}
-
-void EvalProgram::EvalTermRangeBlocked(const Valuation& base,
-                                       const BlockOverrides& block,
-                                       std::size_t term_begin,
-                                       std::size_t term_end, double* partials,
-                                       std::size_t lane_stride) const {
-  COBRA_CHECK_MSG(base.size() >= min_valuation_size_,
-                  "EvalProgram::EvalTermRangeBlocked: valuation too small");
-  COBRA_CHECK_MSG(term_begin <= term_end && term_end <= NumTerms(),
-                  "EvalProgram::EvalTermRangeBlocked: bad term range");
-  const double* values = base.values().data();
-  const LaneTableView table{
-      block.vars_.data(), block.values_.data(),
-      block.dense_index_.empty() ? nullptr : block.dense_index_.data(),
-      block.vars_.size(), block.lo_, block.hi_};
-  if (block.width_ == 4) {
-    RunBlockedTermRange<4>(term_starts_.data(), coeffs_.data(),
-                           factors_.data(), values, table, term_begin,
-                           term_end, block.num_lanes_, partials, lane_stride);
-  } else if (block.width_ == 8) {
-    RunBlockedTermRange<8>(term_starts_.data(), coeffs_.data(),
-                           factors_.data(), values, table, term_begin,
-                           term_end, block.num_lanes_, partials, lane_stride);
-  } else {
-    RunBlockedTermRange<16>(term_starts_.data(), coeffs_.data(),
-                            factors_.data(), values, table, term_begin,
-                            term_end, block.num_lanes_, partials, lane_stride);
   }
 }
 
@@ -505,64 +430,6 @@ std::vector<std::uint32_t> EvalProgram::PartitionPolys(
   }
   bounds.push_back(n);
   return bounds;
-}
-
-std::vector<std::uint32_t> EvalProgram::PartitionTerms(
-    std::size_t poly, std::size_t parts) const {
-  COBRA_CHECK_MSG(poly < NumPolys(), "EvalProgram::PartitionTerms: bad poly");
-  const std::uint32_t first = poly_starts_[poly];
-  const std::uint32_t last = poly_starts_[poly + 1];
-  std::vector<std::uint32_t> bounds;
-  bounds.push_back(first);
-  const std::uint32_t n = last - first;
-  if (parts <= 1 || n <= 1) {
-    bounds.push_back(last);
-    return bounds;
-  }
-  parts = std::min<std::size_t>(parts, n);
-  auto weight = [this](std::uint32_t t) {
-    return static_cast<double>(term_starts_[t + 1] - term_starts_[t] + 1);
-  };
-  double total = 0.0;
-  for (std::uint32_t t = first; t < last; ++t) total += weight(t);
-  double acc = 0.0;
-  for (std::uint32_t t = first; t < last; ++t) {
-    acc += weight(t);
-    const std::size_t emitted = bounds.size();  // ranges closed so far + 1
-    if (emitted < parts &&
-        acc >= total * static_cast<double>(emitted) /
-                   static_cast<double>(parts) &&
-        t + 1 <= last - (parts - emitted)) {
-      bounds.push_back(t + 1);
-    }
-  }
-  bounds.push_back(last);
-  return bounds;
-}
-
-std::size_t EvalProgram::DominantPoly(std::size_t min_terms) const {
-  const std::size_t n = NumPolys();
-  if (n == 0 || min_terms == 0) return n;
-  auto weight = [this](std::size_t p) {
-    const std::uint32_t terms = poly_starts_[p + 1] - poly_starts_[p];
-    const std::uint32_t factors =
-        term_starts_[poly_starts_[p + 1]] - term_starts_[poly_starts_[p]];
-    return static_cast<double>(terms + factors + 1);
-  };
-  double total = 0.0;
-  double best_weight = -1.0;
-  std::size_t best = n;
-  for (std::size_t p = 0; p < n; ++p) {
-    const double w = weight(p);
-    total += w;
-    if (w > best_weight) {
-      best_weight = w;
-      best = p;
-    }
-  }
-  if (best == n || best_weight * 2.0 <= total) return n;
-  const std::size_t terms = poly_starts_[best + 1] - poly_starts_[best];
-  return terms >= min_terms ? best : n;
 }
 
 }  // namespace cobra::prov

@@ -32,12 +32,12 @@ struct OverrideSpan {
 /// lane-width row of values per variable (lane l reads its own override
 /// value, or the shared base value when lane l does not override that
 /// variable). Built once per scenario block by `MakeBlockOverrides()` and
-/// reused across every (poly-range | term-range) tile the block is scheduled
-/// on. Factor lookups are O(log k) in the union size k: a [lo, hi] guard
-/// band rejects most factors with two compares, then either a dense
-/// row-index array (when the union's id span is small — one load) or a
-/// binary search over the factor-sorted var array resolves the row, so wide
-/// scenarios (large unions) no longer pay a linear scan per factor.
+/// reused across every poly-range tile the block is scheduled on. Factor
+/// lookups are O(log k) in the union size k: a [lo, hi] guard band rejects
+/// most factors with two compares, then either a dense row-index array
+/// (when the union's id span is small — one load) or a binary search over
+/// the factor-sorted var array resolves the row, so wide scenarios (large
+/// unions) no longer pay a linear scan per factor.
 class BlockOverrides {
  public:
   /// Number of scenario lanes the block carries (1..kMaxLanes).
@@ -96,12 +96,12 @@ class BlockOverrides {
 
 /// Builds the base-independent skeleton of a block patch table: the sorted
 /// override union, guard band and dense row index for `num_lanes`
-/// (1..EvalProgram::kMaxLanes) scenario override lists, with every value
-/// row zero-initialized. The skeleton is everything about the table that
-/// does not depend on the base valuation — a plan core caches it and binds
-/// it to each base with RebindBlockOverrides(), so sweeping many bases pays
-/// the sort/unique/index construction once. The kernels must never read a
-/// skeleton directly.
+/// (1..EvalProgram::kMaxLanes) scenario override lists, with no value
+/// rows. The skeleton is everything about the table that does not depend on
+/// the base valuation — a plan core caches it and binds it to each base
+/// with RebindBlockOverrides(), so sweeping many bases pays the
+/// sort/unique/index construction once. The blocked kernel rejects an
+/// unbound skeleton.
 BlockOverrides MakeBlockOverridesSkeleton(const OverrideSpan* lanes,
                                           std::size_t num_lanes);
 
@@ -212,28 +212,6 @@ class EvalProgram {
                         std::size_t poly_begin, std::size_t poly_end,
                         double* out, std::size_t lane_stride) const;
 
-  /// Partial-sum form of EvalRangeWithOverrides() for term-range splitting:
-  /// returns the sum of term products over the absolute term range
-  /// [term_begin, term_end), which must lie inside one polynomial (use
-  /// PartitionTerms() for bounds). Summation starts at 0.0 and adds terms in
-  /// compiled order, so evaluating a polynomial's full term range is
-  /// bit-identical to its EvalRangeWithOverrides() result; a split
-  /// polynomial's value is recovered by adding the slices' partials in slice
-  /// order (deterministic, but rounding may differ from the unsplit scan in
-  /// the last ulp — see BatchOptions::split_min_terms).
-  double EvalTermRangeWithOverrides(const Valuation& base,
-                                    const VarOverride* overrides,
-                                    std::size_t num_overrides,
-                                    std::size_t term_begin,
-                                    std::size_t term_end) const;
-
-  /// Blocked form of EvalTermRangeWithOverrides(): lane l's partial sum is
-  /// written to `partials[l * lane_stride]`. Same bit-identity contract as
-  /// EvalRangeBlocked() against the scalar term-range scan.
-  void EvalTermRangeBlocked(const Valuation& base, const BlockOverrides& block,
-                            std::size_t term_begin, std::size_t term_end,
-                            double* partials, std::size_t lane_stride) const;
-
   /// Returns a copy of this program whose factor ids are translated through
   /// `remap` (ids at or beyond `remap.size()` stay unchanged). The serving
   /// layer uses this to bake the leaf→meta-variable indirection into the
@@ -248,22 +226,6 @@ class EvalProgram {
   /// with no empty ranges. Used to partition one large program across
   /// threads when there are fewer scenarios than cores.
   std::vector<std::uint32_t> PartitionPolys(std::size_t parts) const;
-
-  /// Splits polynomial `poly`'s term range into at most `parts` contiguous
-  /// sub-ranges of roughly equal factor weight. Returns absolute term
-  /// bounds into the compiled term arrays: sorted, starting at the poly's
-  /// first term and ending one past its last, with no empty ranges. Used by
-  /// the term-splitting scheduler fallback when one dominant polynomial
-  /// would otherwise pin a whole scenario block to a single thread.
-  std::vector<std::uint32_t> PartitionTerms(std::size_t poly,
-                                            std::size_t parts) const;
-
-  /// Returns the index of the polynomial whose evaluation weight strictly
-  /// exceeds half the program's total weight AND that has at least
-  /// `min_terms` terms, or NumPolys() when no polynomial qualifies. The
-  /// batch scheduler splits such a polynomial's term range across threads
-  /// instead of leaving its whole-poly range on one.
-  std::size_t DominantPoly(std::size_t min_terms) const;
 
   /// Number of compiled polynomials.
   std::size_t NumPolys() const { return poly_starts_.size() - 1; }

@@ -21,13 +21,13 @@ bool SameBits(double a, double b) {
 }
 
 /// Verifies one side's tile schedule against the program it will scan: the
-/// whole-poly ranges must be sorted, disjoint, non-empty and — together
-/// with the term-split polynomial, when one exists — cover [0, NumPolys())
-/// exactly once; the term slices must exactly tile the split polynomial's
-/// term range.
+/// whole-poly ranges must be sorted, disjoint, non-empty and cover
+/// [0, NumPolys()) exactly once, and the worker count must lie in
+/// [1, min(threads, tiles)].
 void VerifySchedule(const core::ProgramSchedule& schedule,
-                    const prov::EvalProgram& program,
-                    std::string_view artifact, VerifyReport* report) {
+                    const prov::EvalProgram& program, std::size_t threads,
+                    std::size_t num_blocks, std::string_view artifact,
+                    VerifyReport* report) {
   const std::size_t num_polys = program.NumPolys();
   if (schedule.num_polys != num_polys) {
     report->AddError(artifact, 0,
@@ -37,23 +37,10 @@ void VerifySchedule(const core::ProgramSchedule& schedule,
                          schedule.num_polys, num_polys));
     return;  // Everything below keys off the poly count.
   }
-  const bool split = schedule.split_poly < num_polys;
-  if (!split && schedule.split_poly != num_polys) {
-    report->AddError(artifact, 0,
-                     util::StrFormat(
-                         "split_poly %zu is outside [0, %zu] (NumPolys is "
-                         "the no-split sentinel)",
-                         schedule.split_poly, num_polys));
-    return;
-  }
 
   // The ranges as planned are already in scan order; verify without
   // re-sorting so an out-of-order schedule is itself a finding.
   std::size_t next = 0;
-  auto skip_split = [&] {
-    if (split && next == schedule.split_poly) ++next;
-  };
-  skip_split();
   for (std::size_t r = 0; r < schedule.ranges.size(); ++r) {
     const auto [begin, end] = schedule.ranges[r];
     if (begin >= end || end > num_polys) {
@@ -73,7 +60,6 @@ void VerifySchedule(const core::ProgramSchedule& schedule,
       return;
     }
     next = end;
-    skip_split();
   }
   if (next != num_polys) {
     report->AddError(artifact, schedule.ranges.size(),
@@ -82,45 +68,13 @@ void VerifySchedule(const core::ProgramSchedule& schedule,
                                      next, num_polys));
   }
 
-  // Term slices: present exactly when a polynomial is split, and exactly
-  // tiling its term range.
-  if (!split) {
-    if (!schedule.term_bounds.empty()) {
-      report->AddError(artifact, 0,
-                       "term_bounds present without a split polynomial");
-    }
-    return;
-  }
-  const std::vector<std::uint32_t>& starts = program.poly_starts();
-  const std::uint32_t term_begin = starts[schedule.split_poly];
-  const std::uint32_t term_end = starts[schedule.split_poly + 1];
-  if (schedule.term_bounds.size() < 2) {
+  const std::size_t max_workers = std::max<std::size_t>(
+      1, std::min(threads, num_blocks * schedule.slices()));
+  if (schedule.workers == 0 || schedule.workers > max_workers) {
     report->AddError(artifact, 0,
-                     util::StrFormat("split polynomial %zu has no term "
-                                     "slices",
-                                     schedule.split_poly));
-    return;
-  }
-  if (schedule.term_bounds.front() != term_begin ||
-      schedule.term_bounds.back() != term_end) {
-    report->AddError(
-        artifact, 0,
-        util::StrFormat("term slices cover [%u, %u) but split polynomial "
-                        "%zu owns terms [%u, %u)",
-                        schedule.term_bounds.front(),
-                        schedule.term_bounds.back(), schedule.split_poly,
-                        term_begin, term_end));
-    return;
-  }
-  for (std::size_t k = 0; k + 1 < schedule.term_bounds.size(); ++k) {
-    if (schedule.term_bounds[k] >= schedule.term_bounds[k + 1]) {
-      report->AddError(artifact, k,
-                       util::StrFormat("term slice %zu [%u, %u) is empty or "
-                                       "out of order",
-                                       k, schedule.term_bounds[k],
-                                       schedule.term_bounds[k + 1]));
-      return;
-    }
+                     util::StrFormat("%zu workers outside [1, %zu] (the "
+                                     "thread budget clamped to the tiles)",
+                                     schedule.workers, max_workers));
   }
 }
 
@@ -588,8 +542,10 @@ VerifyReport VerifyPlan(const core::BatchPlan& plan,
   // exactly once per side. The full side scans the meta-indirected
   // sweep_full_program, so the full schedule is verified against it.
   VerifySchedule(plan.full_schedule(), session.sweep_full_program(),
-                 "plan full schedule", &report);
+                 plan.num_threads(), plan.num_blocks(), "plan full schedule",
+                 &report);
   VerifySchedule(plan.compressed_schedule(), session.compressed_program(),
+                 plan.num_threads(), plan.num_blocks(),
                  "plan compressed schedule", &report);
 
   // Fingerprint and lowering cross-check against the scenario set the plan

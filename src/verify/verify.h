@@ -139,8 +139,8 @@ VerifyReport VerifyProgram(const core::EvalProgramImage& image,
 /// list is sorted, duplicate-free and within the frozen pool; the base
 /// valuation is pool-sized; and each side's tile schedule partitions the
 /// (scenario-block × poly-range) space exactly once — sorted disjoint
-/// whole-poly ranges covering every polynomial, with the term-split
-/// polynomial's slices exactly tiling its term range.
+/// whole-poly ranges covering every polynomial — on between one worker and
+/// the thread budget clamped to its tiles.
 ///
 /// A plan is a base-invariant `PlanCore` plus a per-base
 /// `PlanBaseOverlay`, and the pass proves the two halves agree: the

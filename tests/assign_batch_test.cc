@@ -11,6 +11,7 @@
 #include "core/session.h"
 #include "data/example_db.h"
 #include "data/telephony.h"
+#include "dominant_poly_session.h"
 #include "prov/parser.h"
 
 namespace cobra::core {
@@ -125,11 +126,12 @@ TEST_F(AssignBatchTest, MatchesSequentialAssignMultiTree) {
 }
 
 TEST_F(AssignBatchTest, ThreadCountDoesNotChangeResults) {
+  // A program heavy enough that every batch below really runs on the
+  // thread budget it is given (the planner clamps short sweeps to fewer
+  // workers).
   Session session;
-  Load(&session);
-  session.SetBound(10);
-  session.Compress().ValueOrDie();
-  ScenarioSet scenarios = MakeScenarios(session, 7);
+  LoadDominantPolySession(&session);
+  ScenarioSet scenarios = DominantPolyScenarios(7);
 
   BatchOptions one;
   one.num_threads = 1;
@@ -138,14 +140,15 @@ TEST_F(AssignBatchTest, ThreadCountDoesNotChangeResults) {
   four.sweep = BatchOptions::Sweep::kSparseDelta;  // 7 scalar tasks
   BatchOptions blocks;
   blocks.num_threads = 4;
-  blocks.sweep = BatchOptions::Sweep::kBlocked;  // pin: kAuto may pick sparse
-  blocks.block_lanes = 4;  // 7 scenarios -> 2 blocked tiles
+  blocks.sweep = BatchOptions::Sweep::kBlocked;
+  blocks.block_lanes = 4;  // 2 scenario blocks x 2 poly ranges -> 4 tiles
   BatchAssignReport a = session.AssignBatch(scenarios, one).ValueOrDie();
   BatchAssignReport b = session.AssignBatch(scenarios, four).ValueOrDie();
   BatchAssignReport c = session.AssignBatch(scenarios, blocks).ValueOrDie();
   EXPECT_EQ(a.num_threads, 1u);
   EXPECT_EQ(b.num_threads, 4u);  // clamped to 7 scenario tasks, 4 < 7
-  EXPECT_EQ(c.num_threads, 2u);  // clamped to 2 scenario blocks
+  EXPECT_EQ(c.num_threads, 4u);  // 4 tiles
+  ExpectIdentical(SequentialDeltas(&session, scenarios), a);
   ASSERT_EQ(a.reports.size(), b.reports.size());
   ASSERT_EQ(a.reports.size(), c.reports.size());
   for (std::size_t i = 0; i < a.reports.size(); ++i) {
@@ -314,23 +317,20 @@ TEST_F(AssignBatchTest, AddHandleStaysValidAcrossLaterAdds) {
 }
 
 TEST_F(AssignBatchTest, IntraProgramPartitioningDoesNotChangeResults) {
+  // Fewer scenario blocks than threads splits the heavy program into its
+  // two polynomial ranges, one per worker.
   Session session;
-  Load(&session);
-  session.SetBound(10);
-  session.Compress().ValueOrDie();
-  // Fewer scenarios than threads forces the program to be split into
-  // polynomial ranges; partition_min_terms=1 makes even the tiny example
-  // program partitionable.
-  ScenarioSet scenarios = MakeScenarios(session, 2);
+  LoadDominantPolySession(&session);
+  ScenarioSet scenarios = DominantPolyScenarios(2);
 
   BatchOptions serial;
   serial.num_threads = 1;
   BatchOptions partitioned;
   partitioned.num_threads = 8;
-  partitioned.partition_min_terms = 1;
   BatchAssignReport a = session.AssignBatch(scenarios, serial).ValueOrDie();
   BatchAssignReport b =
       session.AssignBatch(scenarios, partitioned).ValueOrDie();
+  EXPECT_EQ(b.num_threads, 2u);
   ASSERT_EQ(a.reports.size(), b.reports.size());
   for (std::size_t i = 0; i < a.reports.size(); ++i) {
     const auto& ra = a.reports[i].delta.rows;

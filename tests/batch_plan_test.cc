@@ -67,36 +67,47 @@ void ExpectBatchBitIdentical(const BatchAssignReport& a,
 // --------------------------------------------------------------- the policy
 
 TEST(ChooseAutoEngineTest, TinyProgramsFallBackToSparse) {
-  // Below the weight threshold the per-batch fixed costs dominate: sparse.
-  EXPECT_EQ(ChooseAutoEngine(10, 1024, 2).engine,
-            BatchOptions::Sweep::kSparseDelta);
-  EXPECT_EQ(ChooseAutoEngine(10, 1024, 2).lanes, 1u);
-  // A single scenario has nothing to block with.
-  EXPECT_EQ(ChooseAutoEngine(1u << 20, 1, 2).engine,
-            BatchOptions::Sweep::kSparseDelta);
-  // BENCH_a6 measured blocked at 0.79x sparse for 64 scenarios: the batch
-  // must be at least 128 scenarios deep before blocking pays for itself.
-  EXPECT_EQ(ChooseAutoEngine(1u << 20, 64, 2).engine,
-            BatchOptions::Sweep::kSparseDelta);
-  EXPECT_EQ(ChooseAutoEngine(1u << 20, 5, 2).engine,
+  // Below the weight threshold a block's override table costs more than
+  // the short scan it amortizes: sparse, at any batch size.
+  for (std::size_t n : {1u, 5u, 64u, 1024u}) {
+    EXPECT_EQ(ChooseAutoEngine(10, n, 2).engine,
+              BatchOptions::Sweep::kSparseDelta);
+    EXPECT_EQ(ChooseAutoEngine(10, n, 2).lanes, 1u);
+  }
+  EXPECT_EQ(ChooseAutoEngine(2047, 1024, 2).engine,
             BatchOptions::Sweep::kSparseDelta);
   // Wide override unions need a proportionally longer scan to amortize.
   EXPECT_EQ(ChooseAutoEngine(4096, 1024, 1000).engine,
             BatchOptions::Sweep::kSparseDelta);
+  EXPECT_EQ(ChooseAutoEngine(4096, 8, 200).engine,
+            BatchOptions::Sweep::kSparseDelta);
+}
+
+TEST(ChooseAutoEngineTest, HeavyProgramsBlockAtEveryBatchSize) {
+  // A warm probe on A7's per-order program measured 8-lane blocks at
+  // 4.4-17x the sparse engine for every n from 1 to 127, so a heavy program
+  // blocks even a single scenario.
+  for (std::size_t n : {1u, 5u, 64u, 127u}) {
+    const EnginePick pick = ChooseAutoEngine(1u << 20, n, 2);
+    EXPECT_EQ(pick.engine, BatchOptions::Sweep::kBlocked) << "n=" << n;
+    EXPECT_EQ(pick.lanes, 8u) << "n=" << n;
+  }
+  EXPECT_EQ(ChooseAutoEngine(2048, 1, 2).engine,
+            BatchOptions::Sweep::kBlocked);
 }
 
 TEST(ChooseAutoEngineTest, LargeProgramsBlockAndSizeLanesByScenarioCount) {
-  // Deep batches (>= 512 scenarios) take the 16-lane kernel; the 128..511
-  // band stays at 8 lanes. 4 lanes is only reachable via explicit
-  // block_lanes = 4 — kAuto never picks it (BENCH_a7: 8 lanes already won
-  // at 3.54x sparse for 1024 scenarios and 16 extends the same curve).
+  // Deep batches (>= 512 scenarios) take the 16-lane kernel; smaller ones
+  // stay at 8 lanes. 4 lanes is only reachable via explicit
+  // block_lanes = 4 (BENCH_a7: 8 lanes already won at 3.54x sparse for
+  // 1024 scenarios and 16 extends the same curve).
   EnginePick many = ChooseAutoEngine(1u << 20, 1024, 2);
   EXPECT_EQ(many.engine, BatchOptions::Sweep::kBlocked);
   EXPECT_EQ(many.lanes, 16u);
   EnginePick mid = ChooseAutoEngine(1u << 20, 256, 2);
   EXPECT_EQ(mid.engine, BatchOptions::Sweep::kBlocked);
   EXPECT_EQ(mid.lanes, 8u);
-  EnginePick edge = ChooseAutoEngine(1u << 20, 128, 2);
+  EnginePick edge = ChooseAutoEngine(1u << 20, 511, 2);
   EXPECT_EQ(edge.engine, BatchOptions::Sweep::kBlocked);
   EXPECT_EQ(edge.lanes, 8u);
 }
@@ -401,7 +412,6 @@ TEST(BatchPlanTest, RandomizedColdAndWarmPlansAreBitIdentical) {
           BatchOptions::Sweep::kSparseDelta}) {
       BatchOptions options;
       options.sweep = sweep;
-      if (it.NextBool(0.3)) options.partition_min_terms = 1;
       options.num_threads = 1 + static_cast<std::size_t>(it.NextBelow(8));
 
       snapshot->ClearPlanCache();

@@ -1,10 +1,10 @@
 // Tests for the immutable CompiledSession serving layer: snapshot identity
 // with the Session wrappers, sparse-override equivalence against the dense
 // copy-based engine (including exponent-expanded factors and variables
-// outside the abstraction), intra-program partitioning determinism, and
+// outside the abstraction), bit-identity across engines, lane widths and
+// thread counts on a program dominated by one large polynomial, and
 // lock-free concurrent serving (N threads x M scenarios must reproduce the
-// sequential results exactly). The concurrency test is the one the TSan CI
-// job runs.
+// sequential results exactly). The TSan CI job runs this whole binary.
 
 #include <gtest/gtest.h>
 
@@ -19,6 +19,7 @@
 #include "core/scenario.h"
 #include "core/session.h"
 #include "data/example_db.h"
+#include "dominant_poly_session.h"
 
 namespace cobra::core {
 namespace {
@@ -208,7 +209,6 @@ TEST(CompiledSessionTest, BlockedSweepBitIdenticalAcrossLaneAndThreadCounts) {
         options.sweep = BatchOptions::Sweep::kBlocked;
         options.block_lanes = lanes;
         options.num_threads = threads;
-        options.partition_min_terms = 1;  // force range tiling when spare
         ExpectBitIdentical(
             sequential,
             snapshot->AssignBatch(scenarios, options).ValueOrDie());
@@ -232,112 +232,145 @@ TEST(CompiledSessionTest, BlockedRejectsBadLaneCount) {
   EXPECT_EQ(result.status().code(), util::StatusCode::kInvalidArgument);
 }
 
+// With fewer scenario blocks than threads, the planner splits a heavy
+// program into whole-polynomial ranges that spare threads share. Every
+// polynomial is still summed whole by one thread, so the bits match the
+// sequential path.
 TEST(CompiledSessionTest, PartitionedSweepIsDeterministic) {
   Session session;
-  LoadPaperSession(&session);
-  const std::vector<MetaVar>& meta = session.meta_vars();
-  ASSERT_GE(meta.size(), 2u);
-  ScenarioSet scenarios;
-  scenarios.Add("boom").ValueOrDie().Set(meta[0].name, 1.25);
-  scenarios.Add("slump").ValueOrDie().Set(meta[0].name, 0.8).Set(meta[1].name, 0.9);
+  LoadDominantPolySession(&session);
+  const ScenarioSet scenarios = DominantPolyScenarios(2);
   std::vector<ResultDelta> sequential = SequentialDeltas(&session, scenarios);
 
   auto snapshot = session.Snapshot().ValueOrDie();
   for (std::size_t threads : {1u, 3u, 8u, 16u}) {
     BatchOptions options;
     options.num_threads = threads;
-    options.partition_min_terms = 1;  // force partitioning, tiny program
-    ExpectBitIdentical(
-        sequential, snapshot->AssignBatch(scenarios, options).ValueOrDie());
+    auto plan = snapshot->PlanBatch(scenarios, options).ValueOrDie();
+    if (threads > 1) {
+      // Witness: one block, two polynomials, so two ranges on two workers.
+      EXPECT_EQ(plan->num_blocks(), 1u);
+      EXPECT_EQ(plan->full_schedule().slices(), 2u);
+      EXPECT_EQ(plan->full_schedule().workers, 2u);
+    }
+    ExpectBitIdentical(sequential, snapshot->Execute(*plan).ValueOrDie());
   }
 }
 
-/// A session whose provenance is dominated by one polynomial (60 distinct
-/// monomials vs a 2-term sibling), with G abstracting {a0, a1}. Bound 61
-/// forces the {G} cut. This is the "ungrouped aggregate" shape the
-/// term-splitting scheduler fallback exists for.
-void LoadDominantPolySession(Session* session) {
-  std::string text = "Big = ";
-  for (int t = 0; t < 60; ++t) {
-    if (t > 0) text += " + ";
-    text += std::to_string(t % 9 + 1) + " * a" + std::to_string(t);
-  }
-  text += "\nSmall = a0 + 3 * z\n";
-  session->LoadPolynomialsText(text).CheckOK();
-  session->SetTreeText("G\n  a0\n  a1\n").CheckOK();
-  session->SetBound(61);
-  session->Compress().ValueOrDie();
-  ASSERT_FALSE(session->meta_vars().empty());
-}
-
-// The term-splitting fallback: with one dominant polynomial and more
-// threads than scenario blocks, both scan engines split its term range and
-// recover the value by a fixed-order reduction. The result must be
-// deterministic (identical bits across repeated runs and across engines),
-// tightly accurate against the sequential path, and strictly bit-identical
-// again once splitting is disabled.
-TEST(CompiledSessionTest, TermSplitFallbackDeterministicAndAccurate) {
+// Bit-identity does not depend on the host: on a program dominated by one
+// 20,000-term polynomial, whose sums show any regrouping of their additions
+// in the last bits, every engine, lane width and thread count reproduces
+// sequential Session::Assign bit for bit, and so do AssignGrid over two
+// bases and AssignStream in windows of 3.
+TEST(CompiledSessionTest, ThreadCountNeverChangesResultBits) {
   Session session;
   LoadDominantPolySession(&session);
-  ScenarioSet scenarios;
-  scenarios.Add("boom").ValueOrDie().Set("G", 1.25);
-  scenarios.Add("mix").ValueOrDie().Set("G", 0.8).Set("z", 1.5);
-  std::vector<ResultDelta> sequential = SequentialDeltas(&session, scenarios);
   auto snapshot = session.Snapshot().ValueOrDie();
 
-  std::vector<BatchAssignReport> split_results;
-  for (BatchOptions::Sweep sweep :
-       {BatchOptions::Sweep::kBlocked, BatchOptions::Sweep::kSparseDelta}) {
-    BatchOptions split;
-    split.sweep = sweep;
-    split.num_threads = 8;
-    split.partition_min_terms = 1;
-    split.split_min_terms = 8;
-    BatchAssignReport a = snapshot->AssignBatch(scenarios, split).ValueOrDie();
-    BatchAssignReport b = snapshot->AssignBatch(scenarios, split).ValueOrDie();
-    // Witness that the fallback engaged: term slices raise the tile count
-    // to (blocks × [ranges + slices]) ≥ 8, so all 8 workers get work —
-    // without splitting this two-poly program caps at 2 ranges per block.
-    EXPECT_EQ(a.num_threads, 8u);
-    ASSERT_EQ(a.reports.size(), sequential.size());
-    for (std::size_t i = 0; i < a.reports.size(); ++i) {
-      const auto& ra = a.reports[i].delta.rows;
-      const auto& rb = b.reports[i].delta.rows;
-      ASSERT_EQ(ra.size(), sequential[i].rows.size());
-      ASSERT_EQ(rb.size(), ra.size());
-      for (std::size_t r = 0; r < ra.size(); ++r) {
-        // Deterministic: repeated runs reproduce the same bits.
-        EXPECT_EQ(ra[r].full, rb[r].full);
-        EXPECT_EQ(ra[r].compressed, rb[r].compressed);
-        // Accurate: the reduction may regroup additions, but only within a
-        // tight relative tolerance of the sequential answer.
-        const double want_full = sequential[i].rows[r].full;
-        const double want_compressed = sequential[i].rows[r].compressed;
-        EXPECT_NEAR(ra[r].full, want_full,
-                    1e-9 * std::max(1.0, std::fabs(want_full)));
-        EXPECT_NEAR(ra[r].compressed, want_compressed,
-                    1e-9 * std::max(1.0, std::fabs(want_compressed)));
+  struct Engine {
+    BatchOptions::Sweep sweep;
+    std::size_t lanes;
+  };
+  const Engine engines[] = {{BatchOptions::Sweep::kAuto, 8},
+                            {BatchOptions::Sweep::kBlocked, 4},
+                            {BatchOptions::Sweep::kBlocked, 8},
+                            {BatchOptions::Sweep::kBlocked, 16},
+                            {BatchOptions::Sweep::kSparseDelta, 8}};
+  const std::size_t thread_counts[] = {1, 2, 3, 4, 8, 16};
+
+  for (std::size_t n : {1u, 2u, 9u}) {
+    const ScenarioSet scenarios = DominantPolyScenarios(n);
+    const std::vector<ResultDelta> sequential =
+        SequentialDeltas(&session, scenarios);
+    for (const Engine& engine : engines) {
+      for (std::size_t threads : thread_counts) {
+        SCOPED_TRACE("n=" + std::to_string(n) + " engine=" +
+                     SweepName(engine.sweep) + "/" +
+                     std::to_string(engine.lanes) +
+                     " threads=" + std::to_string(threads));
+        BatchOptions options;
+        options.sweep = engine.sweep;
+        options.block_lanes = engine.lanes;
+        options.num_threads = threads;
+        ExpectBitIdentical(
+            sequential,
+            snapshot->AssignBatch(scenarios, options).ValueOrDie());
       }
     }
-    split_results.push_back(std::move(a));
-
-    BatchOptions nosplit = split;
-    nosplit.split_min_terms = 0;
-    ExpectBitIdentical(
-        sequential, snapshot->AssignBatch(scenarios, nosplit).ValueOrDie());
   }
 
-  // The blocked and scalar engines slice and reduce identically, so even
-  // the split results agree bit for bit across engines.
-  const auto& blocked = split_results[0];
-  const auto& scalar = split_results[1];
-  for (std::size_t i = 0; i < blocked.reports.size(); ++i) {
-    const auto& rb = blocked.reports[i].delta.rows;
-    const auto& rs = scalar.reports[i].delta.rows;
-    ASSERT_EQ(rb.size(), rs.size());
-    for (std::size_t r = 0; r < rb.size(); ++r) {
-      EXPECT_EQ(rb[r].full, rs[r].full);
-      EXPECT_EQ(rb[r].compressed, rs[r].compressed);
+  // The grid and the stream run the same sweep core over other plan shapes:
+  // two bases per core, and windows of 3 scenarios per chunk.
+  const ScenarioSet scenarios = DominantPolyScenarios(9);
+  const prov::VarId g = snapshot->pool().Find("G");
+  const prov::VarId y5 = snapshot->pool().Find("y5");
+  ASSERT_NE(g, prov::kInvalidVar);
+  ASSERT_NE(y5, prov::kInvalidVar);
+  prov::Valuation moved = snapshot->default_meta_valuation();
+  moved.Set(g, 0.87);
+  moved.Set(y5, 1.29);
+  const std::vector<prov::Valuation> bases = {
+      snapshot->default_meta_valuation(), moved};
+  const std::vector<ResultDelta> on_default =
+      SequentialDeltas(&session, scenarios);
+  std::vector<ResultDelta> on_moved;
+  for (const Scenario& scenario : scenarios.scenarios()) {
+    session.SetMetaValue("G", 0.87).CheckOK();
+    session.SetMetaValue("y5", 1.29).CheckOK();
+    for (const Scenario::Delta& delta : scenario.deltas) {
+      session.SetMetaValue(delta.var, delta.value).CheckOK();
+    }
+    on_moved.push_back(session.Assign(1).ValueOrDie().delta);
+    session.ResetMetaValues().CheckOK();
+  }
+  const std::vector<ResultDelta>* per_base[] = {&on_default, &on_moved};
+  std::shared_ptr<const ExplicitSource> source =
+      ExplicitSource::Create(scenarios).ValueOrDie();
+
+  for (const Engine& engine : engines) {
+    for (std::size_t threads : thread_counts) {
+      SCOPED_TRACE(std::string("engine=") + SweepName(engine.sweep) + "/" +
+                   std::to_string(engine.lanes) +
+                   " threads=" + std::to_string(threads));
+      BatchOptions options;
+      options.sweep = engine.sweep;
+      options.block_lanes = engine.lanes;
+      options.num_threads = threads;
+      const GridAssignReport grid =
+          snapshot->AssignGrid(scenarios, bases, options).ValueOrDie();
+      for (std::size_t b = 0; b < bases.size(); ++b) {
+        for (std::size_t s = 0; s < scenarios.size(); ++s) {
+          const auto& rows = (*per_base[b])[s].rows;
+          for (std::size_t r = 0; r < rows.size(); ++r) {
+            EXPECT_EQ(grid.full_value(b, s, r), rows[r].full);
+            EXPECT_EQ(grid.compressed_value(b, s, r), rows[r].compressed);
+          }
+        }
+      }
+
+      StreamOptions stream;
+      stream.batch = options;
+      stream.batch.stream_block_scenarios = 3;
+      std::size_t streamed = 0;
+      const SweepSummary summary =
+          snapshot
+              ->AssignStream(
+                  *source, stream,
+                  [&](const StreamBlockView& view) {
+                    for (std::size_t i = 0; i < view.count; ++i) {
+                      const auto& rows = on_default[view.begin + i].rows;
+                      for (std::size_t r = 0; r < rows.size(); ++r) {
+                        const std::size_t cell = i * view.num_groups + r;
+                        EXPECT_EQ(view.full[cell], rows[r].full);
+                        EXPECT_EQ(view.compressed[cell], rows[r].compressed);
+                      }
+                    }
+                    streamed += view.count;
+                    return true;
+                  })
+              .ValueOrDie();
+      EXPECT_EQ(streamed, scenarios.size());
+      EXPECT_EQ(summary.chunks, 3u);
     }
   }
 }
@@ -416,14 +449,13 @@ TEST(CompiledSessionConcurrencyTest, ManyThreadsMatchSequential) {
   for (std::size_t t = 0; t < kThreads; ++t) {
     pool.emplace_back([&, t]() {
       // Alternate sweep engines, lane widths, and thread counts across
-      // workers so the blocked (4 and 8 lanes), sparse, and partitioned
-      // paths all run concurrently.
+      // workers so the blocked (4 and 8 lanes) and sparse paths run
+      // concurrently.
       BatchOptions options;
       options.num_threads = 1 + t % 3;
       options.sweep = t % 3 == 0 ? BatchOptions::Sweep::kSparseDelta
                                  : BatchOptions::Sweep::kBlocked;
       options.block_lanes = t % 2 == 0 ? 8 : 4;
-      options.partition_min_terms = t % 4 == 0 ? 1 : 1024;
       for (std::size_t i = 0; i < kIterations; ++i) {
         results[t].push_back(
             snapshot->AssignBatch(scenarios, options).ValueOrDie());
@@ -440,24 +472,17 @@ TEST(CompiledSessionConcurrencyTest, ManyThreadsMatchSequential) {
   }
 }
 
-// The tiled scheduler with term splitting active (poly ranges + term slices
-// + the post-join fixed-order reduction) must stay data-race-free and
-// deterministic when many snapshot users run it concurrently. Run under
-// ThreadSanitizer in CI.
-TEST(CompiledSessionConcurrencyTest, SplitTiledSchedulerDeterministic) {
+// The tiled scheduler on a heavy program (two poly ranges on two workers,
+// pool helpers shared by every caller) must stay data-race-free and
+// bit-identical to the sequential path when many snapshot users run it
+// concurrently. Run under ThreadSanitizer in CI.
+TEST(CompiledSessionConcurrencyTest, PartitionedTiledSchedulerDeterministic) {
   Session session;
   LoadDominantPolySession(&session);
-  ScenarioSet scenarios;
-  scenarios.Add("boom").ValueOrDie().Set("G", 1.25);
-  scenarios.Add("mix").ValueOrDie().Set("G", 0.8).Set("z", 1.5);
+  const ScenarioSet scenarios = DominantPolyScenarios(2);
+  const std::vector<ResultDelta> sequential =
+      SequentialDeltas(&session, scenarios);
   auto snapshot = session.Snapshot().ValueOrDie();
-
-  BatchOptions split;
-  split.num_threads = 4;
-  split.partition_min_terms = 1;
-  split.split_min_terms = 8;
-  const BatchAssignReport want =
-      snapshot->AssignBatch(scenarios, split).ValueOrDie();
 
   constexpr std::size_t kThreads = 6;
   constexpr std::size_t kIterations = 8;
@@ -466,7 +491,8 @@ TEST(CompiledSessionConcurrencyTest, SplitTiledSchedulerDeterministic) {
   pool.reserve(kThreads);
   for (std::size_t t = 0; t < kThreads; ++t) {
     pool.emplace_back([&, t]() {
-      BatchOptions options = split;
+      BatchOptions options;
+      options.num_threads = 4;
       options.sweep = t % 2 == 0 ? BatchOptions::Sweep::kBlocked
                                  : BatchOptions::Sweep::kSparseDelta;
       for (std::size_t i = 0; i < kIterations; ++i) {
@@ -479,16 +505,8 @@ TEST(CompiledSessionConcurrencyTest, SplitTiledSchedulerDeterministic) {
 
   for (const std::vector<BatchAssignReport>& per_thread : results) {
     for (const BatchAssignReport& batch : per_thread) {
-      ASSERT_EQ(batch.reports.size(), want.reports.size());
-      for (std::size_t i = 0; i < want.reports.size(); ++i) {
-        const auto& wr = want.reports[i].delta.rows;
-        const auto& gr = batch.reports[i].delta.rows;
-        ASSERT_EQ(gr.size(), wr.size());
-        for (std::size_t r = 0; r < wr.size(); ++r) {
-          EXPECT_EQ(gr[r].full, wr[r].full);
-          EXPECT_EQ(gr[r].compressed, wr[r].compressed);
-        }
-      }
+      EXPECT_GT(batch.num_threads, 1u);
+      ExpectBitIdentical(sequential, batch);
     }
   }
 }

@@ -455,137 +455,29 @@ TEST(EvalProgramBlockedTest, SubRangesComposeToWholeProgram) {
   }
 }
 
-TEST(EvalProgramTermRangeTest, WholePolyTermRangeMatchesRangeEval) {
-  util::Rng rng(11);
+// A plan core caches skeletons for as long as it lives, so they carry no
+// value rows; rebinding allocates them, and the kernel refuses a skeleton.
+TEST(EvalProgramBlockedTest, SkeletonHoldsNoValueRowsUntilRebound) {
+  util::Rng rng(9);
   VarPool pool;
-  PolySet set = RandomPolySet(&rng, &pool, 8, 6);
+  PolySet set = RandomPolySet(&rng, &pool, 10, 4);
   EvalProgram program(set);
   Valuation base(pool);
-  std::vector<VarOverride> ov = {{0, 1.7}, {2, 0.4}};
+  std::vector<VarOverride> ov = {{1, 0.5}, {3, 2.5}};
+  OverrideSpan spans[2] = {{ov.data(), ov.size()}, {nullptr, 0}};
 
-  std::vector<double> want;
-  program.EvalWithOverrides(base, ov.data(), ov.size(), &want);
-  for (std::size_t p = 0; p < program.NumPolys(); ++p) {
-    const std::vector<std::uint32_t> whole = program.PartitionTerms(p, 1);
-    ASSERT_EQ(whole.size(), 2u);
-    // One slice = the same additions in the same order: bit-identical.
-    EXPECT_EQ(program.EvalTermRangeWithOverrides(base, ov.data(), ov.size(),
-                                                 whole[0], whole[1]),
-              want[p])
-        << "poly " << p;
-  }
-}
+  const BlockOverrides skeleton = MakeBlockOverridesSkeleton(spans, 2);
+  EXPECT_EQ(skeleton.union_size(), 2u);
+  EXPECT_TRUE(skeleton.values().empty());
+  const BlockOverrides bound = RebindBlockOverrides(skeleton, base, spans, 2);
+  EXPECT_EQ(bound.values(), MakeBlockOverrides(base, spans, 2).values());
+  EXPECT_EQ(bound.values().size(), bound.union_size() * bound.width());
 
-TEST(EvalProgramTermRangeTest, PartitionTermsBoundsWellFormed) {
-  util::Rng rng(13);
-  VarPool pool;
-  PolySet set = RandomPolySet(&rng, &pool, 8, 5);
-  EvalProgram program(set);
-  for (std::size_t p = 0; p < program.NumPolys(); ++p) {
-    for (std::size_t parts : {1u, 2u, 3u, 64u}) {
-      const std::vector<std::uint32_t> bounds =
-          program.PartitionTerms(p, parts);
-      ASSERT_GE(bounds.size(), 2u);
-      for (std::size_t i = 0; i + 1 < bounds.size(); ++i) {
-        EXPECT_LE(bounds[i], bounds[i + 1]);
-      }
-      EXPECT_LE(bounds.size() - 1, std::max<std::size_t>(parts, 1));
-    }
-  }
-}
-
-TEST(EvalProgramTermRangeTest, SlicedPartialsReduceToPolyValue) {
-  VarPool pool;
-  // One long polynomial so multi-slice splits are non-trivial.
-  std::string text = "P = ";
-  for (int t = 0; t < 40; ++t) {
-    if (t > 0) text += " + ";
-    text += std::to_string(t + 1) + " * x" + std::to_string(t % 7);
-    if (t % 3 == 0) text += "^2";
-  }
-  text += "\n";
-  PolySet set = Parse(text, &pool);
-  EvalProgram program(set);
-  Valuation base(pool);
-  std::vector<VarOverride> ov = {{1, 0.9}, {4, 1.3}};
-  std::vector<double> want;
-  program.EvalWithOverrides(base, ov.data(), ov.size(), &want);
-
-  for (std::size_t parts : {2u, 3u, 8u}) {
-    const std::vector<std::uint32_t> bounds = program.PartitionTerms(0, parts);
-    double reduced = 0.0;
-    for (std::size_t k = 0; k + 1 < bounds.size(); ++k) {
-      reduced += program.EvalTermRangeWithOverrides(base, ov.data(), ov.size(),
-                                                    bounds[k], bounds[k + 1]);
-    }
-    // The fixed-order reduction may regroup additions, so compare to within
-    // a tight relative tolerance, and check it is exactly reproducible.
-    EXPECT_NEAR(reduced, want[0], 1e-9 * std::abs(want[0]));
-    double again = 0.0;
-    for (std::size_t k = 0; k + 1 < bounds.size(); ++k) {
-      again += program.EvalTermRangeWithOverrides(base, ov.data(), ov.size(),
-                                                  bounds[k], bounds[k + 1]);
-    }
-    EXPECT_EQ(again, reduced);
-  }
-}
-
-TEST(EvalProgramTermRangeTest, BlockedTermRangeMatchesScalarPartials) {
-  util::Rng rng(17);
-  VarPool pool;
-  PolySet set = RandomPolySet(&rng, &pool, 12, 4);
-  EvalProgram program(set);
-  Valuation base(pool);
-  for (std::size_t v = 0; v < pool.size(); ++v) {
-    base.Set(static_cast<VarId>(v), rng.NextDoubleInRange(0.5, 1.5));
-  }
-  std::vector<std::vector<VarOverride>> lane_lists(5);
-  OverrideSpan spans[EvalProgram::kMaxLanes];
-  for (std::size_t l = 0; l < lane_lists.size(); ++l) {
-    lane_lists[l] = RandomOverrides(&rng, pool.size());
-    spans[l] = {lane_lists[l].data(), lane_lists[l].size()};
-  }
-  BlockOverrides block = MakeBlockOverrides(base, spans, lane_lists.size());
-
-  for (std::size_t p = 0; p < program.NumPolys(); ++p) {
-    const std::vector<std::uint32_t> bounds = program.PartitionTerms(p, 3);
-    for (std::size_t k = 0; k + 1 < bounds.size(); ++k) {
-      double partials[EvalProgram::kMaxLanes];
-      program.EvalTermRangeBlocked(base, block, bounds[k], bounds[k + 1],
-                                   partials, 1);
-      for (std::size_t l = 0; l < lane_lists.size(); ++l) {
-        EXPECT_EQ(partials[l],
-                  program.EvalTermRangeWithOverrides(
-                      base, lane_lists[l].data(), lane_lists[l].size(),
-                      bounds[k], bounds[k + 1]))
-            << "poly " << p << " slice " << k << " lane " << l;
-      }
-    }
-  }
-}
-
-TEST(EvalProgramDominantPolyTest, FindsDominantAndRespectsMinTerms) {
-  VarPool pool;
-  std::string text = "Small1 = x + y\nSmall2 = 2 * x\nBig = ";
-  // Distinct monomials (the parser merges identical ones).
-  for (int t = 0; t < 50; ++t) {
-    if (t > 0) text += " + ";
-    text += std::to_string(t + 1) + " * v" + std::to_string(t) + " * y";
-  }
-  text += "\n";
-  PolySet set = Parse(text, &pool);
-  EvalProgram program(set);
-
-  EXPECT_EQ(program.DominantPoly(1), 2u);
-  EXPECT_EQ(program.DominantPoly(50), 2u);
-  EXPECT_EQ(program.DominantPoly(51), program.NumPolys());  // too few terms
-  EXPECT_EQ(program.DominantPoly(0), program.NumPolys());   // disabled
-
-  // A balanced program has no dominant polynomial.
-  VarPool pool2;
-  PolySet balanced = Parse("A = x + y\nB = 2 * x + z\nC = y + z\n", &pool2);
-  EvalProgram balanced_program(balanced);
-  EXPECT_EQ(balanced_program.DominantPoly(1), balanced_program.NumPolys());
+  const std::size_t polys = program.NumPolys();
+  std::vector<double> out(2 * polys, 0.0);
+  EXPECT_DEATH(
+      program.EvalRangeBlocked(base, skeleton, 0, polys, out.data(), polys),
+      "unbound skeleton");
 }
 
 }  // namespace

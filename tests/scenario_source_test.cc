@@ -258,9 +258,6 @@ TEST_F(ScenarioSourceTest, RandomizedStreamsBitIdenticalToMaterialized) {
     batch.sweep = engines[trial % 3];
     batch.num_threads = 1 + trial % 3;
     batch.stream_block_scenarios = 1 + rng.NextU64() % 9;
-    // Term splitting slices one polynomial's sum differently for different
-    // chunk geometries; disable it so the FP summation order is fixed.
-    batch.split_min_terms = std::size_t{1} << 30;
     SCOPED_TRACE("trial " + std::to_string(trial));
     ExpectBitIdenticalToBatch(*source, batch);
   }
@@ -380,7 +377,6 @@ TEST_F(ScenarioSourceTest, SampledSweepIsThreadCountInvariant) {
   BatchOptions one;
   one.num_threads = 1;
   one.stream_block_scenarios = 16;
-  one.split_min_terms = std::size_t{1} << 30;
   BatchOptions four = one;
   four.num_threads = 4;
   const StreamedRows a = StreamAll(*source, one);

@@ -413,9 +413,6 @@ TEST(SnapshotTest, RandomizedRoundTripIsBitIdenticalAcrossEngines) {
       BatchOptions options;
       options.sweep = sweep;
       options.block_lanes = it.NextBool(0.5) ? 4 : 8;
-      // Exercise the partitioning/splitting schedulers now and then.
-      if (it.NextBool(0.3)) options.partition_min_terms = 1;
-      if (it.NextBool(0.3)) options.split_min_terms = 1;
       ExpectBatchBitIdentical(
           origin->AssignBatch(scenarios, options).ValueOrDie(),
           replica->AssignBatch(scenarios, options).ValueOrDie());

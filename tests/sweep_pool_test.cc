@@ -2,7 +2,8 @@
 // (AssignBatch, AssignGrid, AssignStream): a warm multi-threaded batch
 // starts no thread per call, and concurrent callers with different thread
 // budgets and engines share the pool's helpers without changing a single
-// bit of any answer. Run under TSan in CI.
+// bit of any answer. The workload is a program heavy enough that small
+// batches really run on several threads. Run under TSan in CI.
 
 #include <gtest/gtest.h>
 
@@ -20,7 +21,7 @@
 #include "core/compiled_session.h"
 #include "core/scenario.h"
 #include "core/session.h"
-#include "data/example_db.h"
+#include "dominant_poly_session.h"
 #include "prov/valuation.h"
 
 namespace cobra::core {
@@ -45,26 +46,9 @@ std::uint64_t LiveThreads() {
 class SweepPoolTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    session_.LoadPolynomialsText(data::kExamplePolynomialsText).CheckOK();
-    session_.SetTreeText(data::kFigure2TreeText).CheckOK();
-    session_.SetBound(10);
-    session_.Compress().ValueOrDie();
+    LoadDominantPolySession(&session_);
     snapshot_ = session_.Snapshot().ValueOrDie();
-    ASSERT_GE(snapshot_->meta_vars().size(), 2u);
-  }
-
-  ScenarioSet MakeScenarios(std::size_t n) const {
-    const std::vector<MetaVar>& meta = snapshot_->meta_vars();
-    ScenarioSet set;
-    for (std::size_t i = 0; i < n; ++i) {
-      set.Add("s" + std::to_string(i))
-          .ValueOrDie()
-          .Set(meta[i % meta.size()].name,
-               1.0 + 0.05 * static_cast<double>(i + 1))
-          .Set(meta[(i + 1) % meta.size()].name,
-               1.0 - 0.02 * static_cast<double>(i + 1));
-    }
-    return set;
+    ASSERT_FALSE(snapshot_->meta_vars().empty());
   }
 
   /// A pool-sized base that moves every meta-variable by `factor`.
@@ -110,7 +94,7 @@ class SweepPoolTest : public ::testing::Test {
 };
 
 TEST_F(SweepPoolTest, WarmMultiThreadedBatchesStartNoThreadPerCall) {
-  const ScenarioSet scenarios = MakeScenarios(8);
+  const ScenarioSet scenarios = DominantPolyScenarios(8);
   BatchOptions options;
   options.num_threads = 4;
   // Warm-up: plans the batch and starts the pool's helpers.
@@ -123,9 +107,9 @@ TEST_F(SweepPoolTest, WarmMultiThreadedBatchesStartNoThreadPerCall) {
   }
 
   // A sampler watches the live thread count while the calls run. Threads
-  // started per call would be alive for most of each call (about 8 per
-  // call: up to 4 per side), so the sampler would see the count rise above
-  // what the warm-up left behind.
+  // started per call would be alive for most of each call (one helper per
+  // side: each side runs on the caller plus one helper), so the sampler
+  // would see the count rise above what the warm-up left behind.
   const std::uint64_t baseline = LiveThreads() + 1;  // Plus the sampler.
   ASSERT_GT(baseline, 1u) << "/proc/self/status has no Threads line";
   std::atomic<bool> done{false};
@@ -152,7 +136,7 @@ TEST_F(SweepPoolTest, WarmMultiThreadedBatchesStartNoThreadPerCall) {
 }
 
 TEST_F(SweepPoolTest, ConcurrentCallersShareThePoolBitIdentically) {
-  const ScenarioSet scenarios = MakeScenarios(32);
+  const ScenarioSet scenarios = DominantPolyScenarios(32);
   const std::vector<prov::Valuation> bases = {
       snapshot_->default_meta_valuation(), ScaledBase(1.25)};
   std::vector<std::vector<Rows>> expected;
