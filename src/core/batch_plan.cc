@@ -74,8 +74,7 @@ ProgramSchedule MakeSchedule(const prov::EvalProgram& program,
 }
 
 /// Validates the engine knobs once, at planning time; every rejection names
-/// the offending BatchOptions field and the accepted values. Shared by the
-/// batch path (PlanCore::Create) and the streaming path (StreamPlan::Create).
+/// the offending BatchOptions field and the accepted values.
 util::Status ValidateSweepOptions(const BatchOptions& options) {
   switch (options.sweep) {
     case BatchOptions::Sweep::kAuto:
@@ -98,6 +97,33 @@ util::Status ValidateSweepOptions(const BatchOptions& options) {
         options.block_lanes));
   }
   return util::Status::OK();
+}
+
+/// PinOptions() on options ValidateSweepOptions() accepted. The kAuto
+/// policy reads only the program shapes, the scenario count and the
+/// override width — never the thread count — so the choice is
+/// deterministic for a given workload.
+BatchOptions ResolveOptions(const CompiledSession& session,
+                            BatchOptions options, std::size_t num_scenarios,
+                            std::size_t max_override_width) {
+  if (options.sweep == BatchOptions::Sweep::kAuto) {
+    const prov::EvalProgram& sweep_full = session.sweep_full_program();
+    const prov::EvalProgram& compressed = session.compressed_program();
+    const std::size_t weight =
+        sweep_full.NumTerms() + sweep_full.factors().size() +
+        compressed.NumTerms() + compressed.factors().size();
+    const EnginePick pick =
+        ChooseAutoEngine(weight, num_scenarios, max_override_width);
+    options.sweep = pick.engine;
+    if (pick.engine == BatchOptions::Sweep::kBlocked) {
+      options.block_lanes = pick.lanes;
+    }
+  }
+  if (options.num_threads == 0) {
+    options.num_threads =
+        std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  }
+  return options;
 }
 
 }  // namespace
@@ -251,36 +277,14 @@ util::Result<std::shared_ptr<const PlanCore>> PlanCore::Create(
     core->compiled_.push_back(std::move(compiled));
   }
 
-  const prov::EvalProgram& sweep_full = session->sweep_full_program();
-  const prov::EvalProgram& compressed = session->compressed_program();
   const std::size_t n = scenarios.size();
-
-  // Resolve the engine. The kAuto policy reads only the program shapes, the
-  // scenario count and the override width — never the thread count — so the
-  // choice is deterministic for a given workload.
-  const std::size_t weight = sweep_full.NumTerms() +
-                             sweep_full.factors().size() +
-                             compressed.NumTerms() +
-                             compressed.factors().size();
-  EnginePick pick;
-  switch (options.sweep) {
-    case BatchOptions::Sweep::kAuto:
-      pick = ChooseAutoEngine(weight, n, max_override_width);
-      break;
-    case BatchOptions::Sweep::kBlocked:
-      pick = {BatchOptions::Sweep::kBlocked, options.block_lanes};
-      break;
-    case BatchOptions::Sweep::kSparseDelta:
-      pick = {BatchOptions::Sweep::kSparseDelta, 1};
-      break;
-  }
-  core->engine_ = pick.engine;
-  core->lanes_ = pick.lanes;
-
-  std::size_t threads = options.num_threads;
-  if (threads == 0) {
-    threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  }
+  const BatchOptions pinned =
+      ResolveOptions(*session, options, n, max_override_width);
+  core->engine_ = pinned.sweep;
+  core->lanes_ = pinned.sweep == BatchOptions::Sweep::kBlocked
+                     ? pinned.block_lanes
+                     : 1;
+  const std::size_t threads = pinned.num_threads;
   core->num_threads_ = threads;
   core->num_blocks_ = (n + core->lanes_ - 1) / core->lanes_;
 
@@ -304,23 +308,32 @@ util::Result<std::shared_ptr<const PlanCore>> PlanCore::Create(
     }
   }
 
-  core->full_schedule_ = MakeSchedule(sweep_full, threads, core->num_blocks_);
+  core->full_schedule_ = MakeSchedule(session->sweep_full_program(), threads,
+                                      core->num_blocks_);
   core->compressed_schedule_ =
-      MakeSchedule(compressed, threads, core->num_blocks_);
+      MakeSchedule(session->compressed_program(), threads, core->num_blocks_);
 
   return std::shared_ptr<const PlanCore>(std::move(core));
 }
 
+util::Result<BatchOptions> PlanCore::PinOptions(
+    const CompiledSession& session, const BatchOptions& options,
+    std::size_t num_scenarios, std::size_t max_override_width) {
+  COBRA_RETURN_IF_ERROR(ValidateSweepOptions(options));
+  return ResolveOptions(session, options, num_scenarios, max_override_width);
+}
+
 std::shared_ptr<const PlanBaseOverlay> PlanCore::MakeOverlay(
-    const prov::Valuation& base_meta_valuation,
+    std::shared_ptr<const prov::Valuation> base,
     const BaseFingerprint* precomputed_fingerprint) const {
+  COBRA_CHECK_MSG(base != nullptr && base->size() >= frozen_pool_size_,
+                  "PlanCore::MakeOverlay: base is null or not pool-sized");
   auto overlay = std::make_shared<PlanBaseOverlay>();
-  overlay->base = base_meta_valuation;
-  overlay->base.Resize(frozen_pool_size_);
+  overlay->base = std::move(base);
   overlay->base_fingerprint =
       precomputed_fingerprint != nullptr
           ? *precomputed_fingerprint
-          : FingerprintBase(base_meta_valuation, frozen_pool_size_);
+          : FingerprintBase(*overlay->base, frozen_pool_size_);
 
   if (engine_ == BatchOptions::Sweep::kBlocked) {
     const std::size_t n = num_scenarios();
@@ -334,85 +347,19 @@ std::shared_ptr<const PlanBaseOverlay> PlanCore::MakeOverlay(
         spans[l] = {ov.data(), ov.size()};
       }
       overlay->block_tables.push_back(prov::RebindBlockOverrides(
-          block_skeletons_[b], overlay->base, spans, count));
+          block_skeletons_[b], *overlay->base, spans, count));
     }
   }
   return std::shared_ptr<const PlanBaseOverlay>(std::move(overlay));
 }
 
-util::Result<std::shared_ptr<const StreamPlan>> StreamPlan::Create(
-    std::shared_ptr<const CompiledSession> session,
-    const ScenarioSource& source, const BatchOptions& options) {
-  if (session == nullptr) {
-    return util::Status::InvalidArgument("AssignStream: null session");
-  }
-  COBRA_RETURN_IF_ERROR(ValidateSweepOptions(options));
-  if (options.stream_block_scenarios == 0) {
-    return util::Status::InvalidArgument(
-        "AssignStream: invalid BatchOptions.stream_block_scenarios = 0 "
-        "(the streaming window must hold at least one scenario)");
-  }
-  if (source.size() == 0) {
-    return util::Status::InvalidArgument("AssignStream: empty scenario source");
-  }
-
-  auto plan = std::shared_ptr<StreamPlan>(new StreamPlan());
-  plan->session_ = session;
-  plan->source_fingerprint_ = source.fingerprint();
-  plan->source_size_ = source.size();
-  plan->window_ = static_cast<std::size_t>(
-      std::min<std::uint64_t>(options.stream_block_scenarios, source.size()));
-
-  // Resolve the engine ONCE for the whole stream, from the same inputs the
-  // batch policy reads — with the source's size (clamped to the window: a
-  // chunk never sees more scenarios than that) standing in for the scenario
-  // count and its max_deltas() bound for the measured override width. Every
-  // chunk core is then compiled with the pinned choice, so chunk boundaries
-  // can never flip the engine mid-stream.
-  EnginePick pick;
-  switch (options.sweep) {
-    case BatchOptions::Sweep::kAuto: {
-      const prov::EvalProgram& sweep_full = session->sweep_full_program();
-      const prov::EvalProgram& compressed = session->compressed_program();
-      const std::size_t weight = sweep_full.NumTerms() +
-                                 sweep_full.factors().size() +
-                                 compressed.NumTerms() +
-                                 compressed.factors().size();
-      pick = ChooseAutoEngine(weight, plan->window_, source.max_deltas());
-      break;
-    }
-    case BatchOptions::Sweep::kBlocked:
-      pick = {BatchOptions::Sweep::kBlocked, options.block_lanes};
-      break;
-    default:
-      pick = {BatchOptions::Sweep::kSparseDelta, 1};
-      break;
-  }
-
-  plan->resolved_ = options;
-  plan->resolved_.sweep = pick.engine;
-  plan->lanes_ = pick.lanes;
-  if (pick.engine == BatchOptions::Sweep::kBlocked) {
-    plan->resolved_.block_lanes = pick.lanes;
-  }
-  if (plan->resolved_.num_threads == 0) {
-    plan->resolved_.num_threads =
-        std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  }
-  return std::shared_ptr<const StreamPlan>(std::move(plan));
-}
-
-util::Result<std::shared_ptr<const PlanCore>> StreamPlan::LowerChunk(
-    const ScenarioSet& chunk) const {
-  std::shared_ptr<const CompiledSession> session = session_.lock();
-  if (session == nullptr) {
-    return util::Status::FailedPrecondition(
-        "AssignStream: the plan's origin session has been destroyed");
-  }
-  // The pinned options make this exactly the per-chunk slice of batch
-  // planning: scenario lowering, block-override skeletons and tile
-  // schedules for this window only.
-  return PlanCore::Create(std::move(session), chunk, resolved_);
+std::shared_ptr<const PlanBaseOverlay> PlanCore::MakeOverlay(
+    const prov::Valuation& base_meta_valuation,
+    const BaseFingerprint* precomputed_fingerprint) const {
+  auto base = std::make_shared<prov::Valuation>(base_meta_valuation);
+  base->Resize(frozen_pool_size_);
+  return MakeOverlay(std::shared_ptr<const prov::Valuation>(std::move(base)),
+                     precomputed_fingerprint);
 }
 
 util::Result<std::shared_ptr<const BatchPlan>> BatchPlan::Create(
@@ -429,8 +376,9 @@ util::Result<std::shared_ptr<const BatchPlan>> BatchPlan::Create(
 std::shared_ptr<const BatchPlan> BatchPlan::FromParts(
     std::shared_ptr<const PlanCore> core,
     std::shared_ptr<const PlanBaseOverlay> overlay) {
-  COBRA_CHECK_MSG(core != nullptr && overlay != nullptr,
-                  "BatchPlan::FromParts: null core or overlay");
+  COBRA_CHECK_MSG(
+      core != nullptr && overlay != nullptr && overlay->base != nullptr,
+      "BatchPlan::FromParts: null core, overlay or overlay base");
   return std::shared_ptr<const BatchPlan>(
       new BatchPlan(std::move(core), std::move(overlay)));
 }

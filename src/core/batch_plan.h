@@ -129,16 +129,19 @@ EnginePick ChooseAutoEngine(std::size_t program_weight,
 /// The cheap per-base half of a plan: the pool-sized base valuation the
 /// scenarios apply on top of, its content fingerprint, and — for the
 /// blocked engine — the block patch tables with value rows bound to that
-/// base. Materialized from a `PlanCore` in O(pool + union sizes): no
-/// scenario lowering, no sorting, no index builds. Immutable once published
-/// inside a `BatchPlan`.
+/// base. Materialized from a `PlanCore` in O(union sizes) plus, for a base
+/// that is not already shared, one pool-sized copy: no scenario lowering,
+/// no sorting, no index builds. Immutable once published inside a
+/// `BatchPlan`.
 struct PlanBaseOverlay {
-  /// The shared base valuation both program sides evaluate under,
-  /// pool-sized (the kernels index it with any factor id the programs
-  /// carry).
-  prov::Valuation base{0};
+  /// The base valuation both program sides evaluate under, pool-sized (the
+  /// kernels index it with any factor id the programs carry). Shared, not
+  /// owned: every overlay on a session's default base points at the
+  /// session's one copy, and a stream's windows share one base. Never null
+  /// in a published plan.
+  std::shared_ptr<const prov::Valuation> base;
 
-  /// FingerprintBase(base, frozen pool size) — the overlay's cache key.
+  /// FingerprintBase(*base, frozen pool size) — the overlay's cache key.
   BaseFingerprint base_fingerprint;
 
   /// Per-block override-union tables bound to `base` (empty unless the
@@ -165,20 +168,39 @@ class PlanCore {
   /// Compiles the base-independent half. Validates `options` (naming the
   /// offending field and the accepted values) and the scenario set
   /// (non-empty, unique names, every delta variable known to the snapshot)
-  /// once, here — execution never re-validates. `session` must be non-null.
-  /// A caller that already fingerprinted the set (the plan cache keys on it
-  /// before planning) may pass the digest to skip the second content pass;
-  /// null recomputes it.
+  /// once, here — execution never re-validates — and builds the core from
+  /// `PinOptions(*session, options, scenarios.size(), widest override
+  /// list)`. `session` must be non-null. A caller that already
+  /// fingerprinted the set (the plan cache keys on it before planning) may
+  /// pass the digest to skip the second content pass; null recomputes it.
   static util::Result<std::shared_ptr<const PlanCore>> Create(
       std::shared_ptr<const CompiledSession> session,
       const ScenarioSet& scenarios, const BatchOptions& options,
       const PlanFingerprint* precomputed_fingerprint = nullptr);
 
-  /// Materializes the per-base half: copies `base_meta_valuation` pool-sized
-  /// and (for the blocked engine) rebinds every block skeleton's value rows
-  /// to it. A caller that already fingerprinted the base (the overlay cache
-  /// keys on it before materializing) may pass the digest; null recomputes
-  /// it.
+  /// Validates `options` and resolves everything they leave open for a
+  /// batch of `num_scenarios` scenarios whose widest override list has
+  /// `max_override_width` entries: `kAuto` becomes the engine the policy
+  /// picks (`ChooseAutoEngine`), `block_lanes` that engine's lane count,
+  /// and `num_threads = 0` the core count. Options already pinned come back
+  /// unchanged, so a core built from pinned options plans exactly as they
+  /// say — `AssignStream` pins once for the whole stream (window size,
+  /// source `max_deltas()` bound) and builds every window's core from the
+  /// result.
+  static util::Result<BatchOptions> PinOptions(
+      const CompiledSession& session, const BatchOptions& options,
+      std::size_t num_scenarios, std::size_t max_override_width);
+
+  /// Materializes the per-base half on a shared base, which must already be
+  /// pool-sized (non-null, at least `frozen_pool_size()` entries): for the
+  /// blocked engine, rebinds every block skeleton's value rows to it. A
+  /// caller that already fingerprinted the base (the overlay cache keys on
+  /// it before materializing) may pass the digest; null recomputes it.
+  std::shared_ptr<const PlanBaseOverlay> MakeOverlay(
+      std::shared_ptr<const prov::Valuation> base,
+      const BaseFingerprint* precomputed_fingerprint = nullptr) const;
+
+  /// MakeOverlay() on a pool-sized copy of `base_meta_valuation`.
   std::shared_ptr<const PlanBaseOverlay> MakeOverlay(
       const prov::Valuation& base_meta_valuation,
       const BaseFingerprint* precomputed_fingerprint = nullptr) const;
@@ -266,75 +288,6 @@ class PlanCore {
   ProgramSchedule compressed_schedule_;
 };
 
-/// The plan-time half of a streaming sweep: everything about evaluating a
-/// `ScenarioSource` that does NOT depend on the scenarios themselves —
-/// the resolved engine/lane/thread choice (made once, from the program
-/// shapes, the source's size and its `max_deltas()` bound) and the
-/// streaming window. The per-scenario half (lowering to sorted override
-/// lists, block-override skeletons, tile schedules) is deferred to
-/// `LowerChunk`, which compiles one window-sized `PlanCore` at a time as
-/// the source streams — so plan memory, like sweep memory, is bounded by
-/// `BatchOptions::stream_block_scenarios` and never by `size()`.
-///
-/// Engine/lane decisions are pinned at Create time: every chunk's core is
-/// compiled with the same resolved engine, so a streamed sweep behaves like
-/// one large batch cut into windows (and is bit-identical to it on any
-/// materialized prefix).
-class StreamPlan {
- public:
-  /// Resolves the stream-invariant plan half. Validates `options` like
-  /// `PlanCore::Create` (plus `stream_block_scenarios > 0`) and rejects a
-  /// null session or an empty source.
-  static util::Result<std::shared_ptr<const StreamPlan>> Create(
-      std::shared_ptr<const CompiledSession> session,
-      const ScenarioSource& source, const BatchOptions& options);
-
-  /// Compiles the per-scenario plan half for one generated window — sorted
-  /// override lists, block-override skeletons, tile schedules — under the
-  /// pinned engine. Fails with `FailedPrecondition` when the origin session
-  /// has been destroyed.
-  util::Result<std::shared_ptr<const PlanCore>> LowerChunk(
-      const ScenarioSet& chunk) const;
-
-  /// The session this plan was built against, or null if destroyed.
-  std::shared_ptr<const CompiledSession> session() const {
-    return session_.lock();
-  }
-
-  /// The resolved engine — never `kAuto`.
-  BatchOptions::Sweep engine() const { return resolved_.sweep; }
-
-  /// Scenario lanes per block (4/8/16 blocked, 1 scalar).
-  std::size_t lanes() const { return lanes_; }
-
-  /// Resolved thread budget (each chunk's schedules clamp it to their work).
-  std::size_t num_threads() const { return resolved_.num_threads; }
-
-  /// Scenarios generated/lowered/swept per streamed block:
-  /// min(stream_block_scenarios, source size).
-  std::size_t window() const { return window_; }
-
-  /// The streamed space's spec fingerprint and size, recorded at Create.
-  const SourceFingerprint& source_fingerprint() const {
-    return source_fingerprint_;
-  }
-  std::uint64_t source_size() const { return source_size_; }
-
-  /// The options every chunk core is compiled with: the caller's options
-  /// with `sweep`/`block_lanes`/`num_threads` pinned to the resolved choice.
-  const BatchOptions& resolved_options() const { return resolved_; }
-
- private:
-  StreamPlan() = default;
-
-  std::weak_ptr<const CompiledSession> session_;
-  BatchOptions resolved_;
-  std::size_t lanes_ = 1;
-  std::size_t window_ = 0;
-  SourceFingerprint source_fingerprint_;
-  std::uint64_t source_size_ = 0;
-};
-
 /// An immutable, reusable execution plan for one (scenario set, base meta
 /// valuation, BatchOptions) triple against one `CompiledSession` — the
 /// plan-once / execute-many half of the batched serving path.
@@ -365,9 +318,10 @@ class BatchPlan {
       const prov::Valuation& base_meta_valuation, const BatchOptions& options,
       const PlanFingerprint* precomputed_fingerprint = nullptr);
 
-  /// Pairs an existing core with an overlay (both non-null) — the grid /
-  /// overlay-cache path. The overlay should have been produced by
-  /// `core->MakeOverlay()`; `VerifyPlan` audits the pairing.
+  /// Pairs an existing core with an overlay (both non-null, and the
+  /// overlay's base non-null) — the grid / overlay-cache path. The overlay
+  /// should have been produced by `core->MakeOverlay()`; `VerifyPlan`
+  /// audits the pairing.
   static std::shared_ptr<const BatchPlan> FromParts(
       std::shared_ptr<const PlanCore> core,
       std::shared_ptr<const PlanBaseOverlay> overlay);
@@ -399,7 +353,7 @@ class BatchPlan {
   }
 
   /// The pool-sized base meta valuation scenarios apply on top of.
-  const prov::Valuation& base() const { return overlay_->base; }
+  const prov::Valuation& base() const { return *overlay_->base; }
 
   /// Per-block override-union tables bound to base() (empty unless
   /// engine() == kBlocked).

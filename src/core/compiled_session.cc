@@ -218,13 +218,13 @@ CompiledSession::Artifacts::Artifacts(
 
 CompiledSession::CompiledSession(std::shared_ptr<const Artifacts> artifacts,
                                  prov::Valuation default_meta)
-    : artifacts_(std::move(artifacts)),
-      default_meta_(std::move(default_meta)),
-      default_full_(0) {
-  default_meta_.Resize(artifacts_->frozen_pool_size);
-  default_full_ = ExpandValuation(default_meta_);
+    : artifacts_(std::move(artifacts)), default_full_(0) {
+  default_meta.Resize(artifacts_->frozen_pool_size);
+  default_meta_ =
+      std::make_shared<const prov::Valuation>(std::move(default_meta));
+  default_full_ = ExpandValuation(*default_meta_);
   default_base_fingerprint_ =
-      FingerprintBase(default_meta_, artifacts_->frozen_pool_size);
+      FingerprintBase(*default_meta_, artifacts_->frozen_pool_size);
 }
 
 util::Result<std::shared_ptr<const CompiledSession>> CompiledSession::Create(
@@ -401,7 +401,7 @@ util::Result<AssignReport> CompiledSession::Assign(
 
 util::Result<AssignReport> CompiledSession::Assign(
     std::size_t timing_reps) const {
-  return Assign(default_meta_, timing_reps);
+  return Assign(*default_meta_, timing_reps);
 }
 
 util::Result<AssignReport> CompiledSession::AssignAgainstBase(
@@ -441,27 +441,37 @@ CompiledSession::PlanCacheKey CompiledSession::MakePlanCacheKey(
   return key;
 }
 
+std::shared_ptr<const BatchPlan> CompiledSession::LookupPlan(
+    const PlanCacheKey& key, const BaseFingerprint& base_fingerprint,
+    std::shared_ptr<const PlanCore>* core) const {
+  std::shared_lock<std::shared_mutex> lock(plan_mutex_);
+  auto it = plan_cache_.find(key);
+  if (it == plan_cache_.end()) return nullptr;
+  for (const auto& [fp, cached] : it->second.overlays) {
+    if (fp == base_fingerprint) return cached;
+  }
+  if (core != nullptr) *core = it->second.core;
+  return nullptr;
+}
+
+std::shared_ptr<const prov::Valuation> CompiledSession::SharedBase(
+    const prov::Valuation& base) const {
+  if (&base == default_meta_.get()) return default_meta_;
+  return std::make_shared<const prov::Valuation>(PoolSized(base));
+}
+
 util::Result<std::shared_ptr<const BatchPlan>> CompiledSession::PlanBatchImpl(
-    const ScenarioSet& scenarios, const prov::Valuation& base_meta_valuation,
+    const PlanCacheKey& key, const ScenarioSet& scenarios,
+    const prov::Valuation& base_meta_valuation,
     const BaseFingerprint& base_fingerprint, const BatchOptions& options,
     bool* cache_hit, bool* core_hit) const {
-  PlanCacheKey key = MakePlanCacheKey(scenarios, options);
-
   std::shared_ptr<const PlanCore> core;
-  {
-    std::shared_lock<std::shared_mutex> lock(plan_mutex_);
-    auto it = plan_cache_.find(key);
-    if (it != plan_cache_.end()) {
-      for (const auto& [fp, cached] : it->second.overlays) {
-        if (fp == base_fingerprint) {
-          plan_cache_hits_.fetch_add(1, std::memory_order_relaxed);
-          if (cache_hit != nullptr) *cache_hit = true;
-          if (core_hit != nullptr) *core_hit = true;
-          return cached;
-        }
-      }
-      core = it->second.core;
-    }
+  if (std::shared_ptr<const BatchPlan> cached =
+          LookupPlan(key, base_fingerprint, &core)) {
+    plan_cache_hits_.fetch_add(1, std::memory_order_relaxed);
+    if (cache_hit != nullptr) *cache_hit = true;
+    if (core_hit != nullptr) *core_hit = true;
+    return cached;
   }
   if (cache_hit != nullptr) *cache_hit = false;
   if (core_hit != nullptr) *core_hit = core != nullptr;
@@ -482,7 +492,8 @@ util::Result<std::shared_ptr<const BatchPlan>> CompiledSession::PlanBatchImpl(
     core = *fresh;
   }
   std::shared_ptr<const BatchPlan> plan = BatchPlan::FromParts(
-      core, core->MakeOverlay(base_meta_valuation, &base_fingerprint));
+      core, core->MakeOverlay(SharedBase(base_meta_valuation),
+                              &base_fingerprint));
 
   // Trust boundary: verify the freshly compiled plan before it enters the
   // cache (and gets replayed indefinitely). Always in debug builds, opt-in
@@ -532,7 +543,7 @@ util::Result<std::shared_ptr<const BatchPlan>> CompiledSession::PlanBatch(
     const ScenarioSet& scenarios, const prov::Valuation& base_meta_valuation,
     const BatchOptions& options, bool* cache_hit) const {
   return PlanBatchImpl(
-      scenarios, base_meta_valuation,
+      MakePlanCacheKey(scenarios, options), scenarios, base_meta_valuation,
       FingerprintBase(base_meta_valuation, artifacts_->frozen_pool_size),
       options, cache_hit, nullptr);
 }
@@ -540,8 +551,9 @@ util::Result<std::shared_ptr<const BatchPlan>> CompiledSession::PlanBatch(
 util::Result<std::shared_ptr<const BatchPlan>> CompiledSession::PlanBatch(
     const ScenarioSet& scenarios, const BatchOptions& options,
     bool* cache_hit) const {
-  return PlanBatchImpl(scenarios, default_meta_, default_base_fingerprint_,
-                       options, cache_hit, nullptr);
+  return PlanBatchImpl(MakePlanCacheKey(scenarios, options), scenarios,
+                       *default_meta_, default_base_fingerprint_, options,
+                       cache_hit, nullptr);
 }
 
 CompiledSession::PlanCacheStats CompiledSession::plan_cache_stats() const {
@@ -594,7 +606,7 @@ void CompiledSession::ClearPlanCache() const {
 }
 
 util::Result<BatchAssignReport> CompiledSession::Execute(
-    const BatchPlan& plan) const {
+    const BatchPlan& plan, SweepDeadline deadline) const {
   if (plan.session().get() != this) {
     return util::Status::InvalidArgument(
         "CompiledSession::Execute: the BatchPlan was built against a "
@@ -620,19 +632,33 @@ util::Result<BatchAssignReport> CompiledSession::Execute(
                    std::vector<std::vector<double>>* out) {
     const std::size_t polys = program.NumPolys();
     std::vector<double> flat(n * polys, 0.0);
-    SweepPlanProgram(core, overlay, program, schedule, flat.data(),
-                     &used_threads);
+    if (!SweepPlanProgram(core, overlay, program, schedule, flat.data(),
+                          &used_threads, nullptr, deadline)) {
+      return false;
+    }
     for (std::size_t i = 0; i < n; ++i) {
       (*out)[i].assign(flat.begin() + i * polys,
                        flat.begin() + (i + 1) * polys);
     }
+    return true;
+  };
+  const auto expired = [n] {
+    return util::Status::DeadlineExceeded(util::StrFormat(
+        "CompiledSession::Execute: deadline passed during the sweep of %zu "
+        "scenario(s)",
+        n));
   };
   util::Timer timer;
-  sweep(artifacts_->sweep_full_program, plan.full_schedule(), &full_values);
+  if (!sweep(artifacts_->sweep_full_program, plan.full_schedule(),
+             &full_values)) {
+    return expired();
+  }
   batch.full_sweep_seconds = timer.ElapsedSeconds();
   timer.Reset();
-  sweep(artifacts_->compressed_program, plan.compressed_schedule(),
-        &compressed_values);
+  if (!sweep(artifacts_->compressed_program, plan.compressed_schedule(),
+             &compressed_values)) {
+    return expired();
+  }
   batch.compressed_sweep_seconds = timer.ElapsedSeconds();
   batch.num_threads = used_threads;
 
@@ -656,13 +682,14 @@ util::Result<BatchAssignReport> CompiledSession::Execute(
   return batch;
 }
 
-void CompiledSession::SweepPlanProgram(const PlanCore& core,
+bool CompiledSession::SweepPlanProgram(const PlanCore& core,
                                        const PlanBaseOverlay& overlay,
                                        const prov::EvalProgram& program,
                                        const ProgramSchedule& schedule,
                                        double* flat,
                                        std::size_t* used_threads,
-                                       const std::uint8_t* block_mask) const {
+                                       const std::uint8_t* block_mask,
+                                       SweepDeadline deadline) const {
   // Every scenario is a small override list; the full side evaluates the
   // meta-indirected program under the shared compressed-side base, so
   // nothing pool-sized is copied per scenario. The blocked engine
@@ -679,14 +706,25 @@ void CompiledSession::SweepPlanProgram(const PlanCore& core,
   const std::vector<CompiledScenario>& compiled = core.compiled();
   const std::vector<prov::BlockOverrides>& block_tables =
       overlay.block_tables;
-  const prov::Valuation& base = overlay.base;
+  const prov::Valuation& base = *overlay.base;
   const std::size_t polys = program.NumPolys();
   const std::vector<std::pair<std::uint32_t, std::uint32_t>>& ranges =
       schedule.ranges;
   const std::size_t slices = schedule.slices();
 
   const std::size_t tasks = core.num_blocks() * slices;
+  // Cancellation: a tile past the deadline is skipped, and so is every tile
+  // after one worker has seen it pass. Tiles already running finish, so a
+  // cancelled sweep stops within one tile per worker.
+  std::atomic<bool> cancelled{false};
   auto run_task = [&](std::size_t t) {
+    if (deadline != kNoDeadline) {
+      if (cancelled.load()) return;
+      if (std::chrono::steady_clock::now() >= deadline) {
+        cancelled.store(true);
+        return;
+      }
+    }
     const std::size_t block = t / slices;
     // Early-exit mask (streaming queries): a pruned block's tiles are
     // no-ops, its rows stay untouched. Workers still claim the task ids —
@@ -710,6 +748,7 @@ void CompiledSession::SweepPlanProgram(const PlanCore& core,
   } else {
     SweepPool::Get().Run(tasks, workers, run_task);
   }
+  return !cancelled.load();
 }
 
 util::Result<GridAssignReport> CompiledSession::AssignGrid(
@@ -730,8 +769,9 @@ util::Result<GridAssignReport> CompiledSession::AssignGrid(
   util::Timer plan_timer;
   bool cache_hit = false;
   bool core_hit = false;
+  const PlanCacheKey key = MakePlanCacheKey(scenarios, options);
   util::Result<std::shared_ptr<const BatchPlan>> first = PlanBatchImpl(
-      scenarios, bases[0],
+      key, scenarios, bases[0],
       FingerprintBase(bases[0], artifacts_->frozen_pool_size), options,
       &cache_hit, &core_hit);
   if (!first.ok()) return first.status();
@@ -750,7 +790,6 @@ util::Result<GridAssignReport> CompiledSession::AssignGrid(
   grid.full_values.assign(bases.size() * n * polys_full, 0.0);
   grid.compressed_values.assign(bases.size() * n * polys_comp, 0.0);
 
-  const PlanCacheKey key = MakePlanCacheKey(scenarios, options);
   std::size_t used_threads = 1;
 
   for (std::size_t b = 0; b < bases.size(); ++b) {
@@ -766,21 +805,14 @@ util::Result<GridAssignReport> CompiledSession::AssignGrid(
       util::Timer overlay_timer;
       const BaseFingerprint fp =
           FingerprintBase(bases[b], artifacts_->frozen_pool_size);
-      {
-        std::shared_lock<std::shared_mutex> lock(plan_mutex_);
-        auto it = plan_cache_.find(key);
-        if (it != plan_cache_.end()) {
-          for (const auto& [cached_fp, cached] : it->second.overlays) {
-            if (cached_fp == fp) {
-              overlay = std::shared_ptr<const PlanBaseOverlay>(
-                  cached, &cached->overlay());
-              ++grid.overlay_cache_hits;
-              break;
-            }
-          }
-        }
+      if (std::shared_ptr<const BatchPlan> cached =
+              LookupPlan(key, fp, nullptr)) {
+        overlay = std::shared_ptr<const PlanBaseOverlay>(cached,
+                                                         &cached->overlay());
+        ++grid.overlay_cache_hits;
+      } else {
+        overlay = core->MakeOverlay(SharedBase(bases[b]), &fp);
       }
-      if (overlay == nullptr) overlay = core->MakeOverlay(bases[b], &fp);
       grid.overlay_seconds += overlay_timer.ElapsedSeconds();
     }
 
@@ -814,17 +846,18 @@ util::Result<GridAssignReport> CompiledSession::AssignGrid(
   return grid;
 }
 
-util::Result<BatchAssignReport> CompiledSession::AssignBatch(
+util::Result<BatchAssignReport> CompiledSession::AssignBatchImpl(
     const ScenarioSet& scenarios, const prov::Valuation& base_meta_valuation,
-    const BatchOptions& options) const {
+    const BaseFingerprint& base_fingerprint, const BatchOptions& options,
+    SweepDeadline deadline) const {
   bool cache_hit = false;
   bool core_hit = false;
-  util::Result<std::shared_ptr<const BatchPlan>> plan = PlanBatchImpl(
-      scenarios, base_meta_valuation,
-      FingerprintBase(base_meta_valuation, artifacts_->frozen_pool_size),
-      options, &cache_hit, &core_hit);
+  util::Result<std::shared_ptr<const BatchPlan>> plan =
+      PlanBatchImpl(MakePlanCacheKey(scenarios, options), scenarios,
+                    base_meta_valuation, base_fingerprint, options,
+                    &cache_hit, &core_hit);
   if (!plan.ok()) return plan.status();
-  util::Result<BatchAssignReport> report = Execute(**plan);
+  util::Result<BatchAssignReport> report = Execute(**plan, deadline);
   if (!report.ok()) return report.status();
   report->plan_cache_hit = cache_hit;
   report->plan_core_hit = core_hit;
@@ -832,20 +865,21 @@ util::Result<BatchAssignReport> CompiledSession::AssignBatch(
 }
 
 util::Result<BatchAssignReport> CompiledSession::AssignBatch(
-    const ScenarioSet& scenarios, const BatchOptions& options) const {
+    const ScenarioSet& scenarios, const prov::Valuation& base_meta_valuation,
+    const BatchOptions& options, SweepDeadline deadline) const {
+  return AssignBatchImpl(
+      scenarios, base_meta_valuation,
+      FingerprintBase(base_meta_valuation, artifacts_->frozen_pool_size),
+      options, deadline);
+}
+
+util::Result<BatchAssignReport> CompiledSession::AssignBatch(
+    const ScenarioSet& scenarios, const BatchOptions& options,
+    SweepDeadline deadline) const {
   // Routed through the default-base fingerprint precomputed at construction
   // so the warm path never rehashes the (immutable) default valuation.
-  bool cache_hit = false;
-  bool core_hit = false;
-  util::Result<std::shared_ptr<const BatchPlan>> plan =
-      PlanBatchImpl(scenarios, default_meta_, default_base_fingerprint_,
-                    options, &cache_hit, &core_hit);
-  if (!plan.ok()) return plan.status();
-  util::Result<BatchAssignReport> report = Execute(**plan);
-  if (!report.ok()) return report.status();
-  report->plan_cache_hit = cache_hit;
-  report->plan_core_hit = core_hit;
-  return report;
+  return AssignBatchImpl(scenarios, *default_meta_, default_base_fingerprint_,
+                         options, deadline);
 }
 
 std::string SweepSummary::ToString(std::size_t max_rows) const {
@@ -926,10 +960,23 @@ util::Result<SweepSummary> CompiledSession::AssignStream(
         "one scenario)");
   }
 
-  util::Result<std::shared_ptr<const StreamPlan>> plan_result =
-      StreamPlan::Create(shared_from_this(), source, options.batch);
-  if (!plan_result.ok()) return plan_result.status();
-  const StreamPlan& plan = **plan_result;
+  // Pin the engine, lanes and threads once for the whole stream, from the
+  // window and the source's max_deltas() bound, so window boundaries can
+  // never flip the engine mid-stream; every window's core is then planned
+  // from the pinned options.
+  const std::size_t window = static_cast<std::size_t>(std::min<std::uint64_t>(
+      options.batch.stream_block_scenarios, source.size()));
+  util::Result<BatchOptions> pinned = PlanCore::PinOptions(
+      *this, options.batch, window, source.max_deltas());
+  if (!pinned.ok()) return pinned.status();
+  if (options.batch.stream_block_scenarios == 0) {
+    return util::Status::InvalidArgument(
+        "AssignStream: invalid BatchOptions.stream_block_scenarios = 0 "
+        "(the streaming window must hold at least one scenario)");
+  }
+  if (source.size() == 0) {
+    return util::Status::InvalidArgument("AssignStream: empty scenario source");
+  }
 
   // Trust boundary, mirroring PlanBatch: audit the generator spec (and,
   // below, the first chunk's freshly compiled plan) before a million-row
@@ -950,11 +997,12 @@ util::Result<SweepSummary> CompiledSession::AssignStream(
   }
 
   SweepSummary summary;
-  summary.source_size = plan.source_size();
-  summary.source_fingerprint = plan.source_fingerprint();
-  summary.engine = plan.engine();
-  summary.block_lanes = plan.lanes();
-  summary.window = plan.window();
+  summary.source_size = source.size();
+  summary.source_fingerprint = source.fingerprint();
+  summary.engine = pinned->sweep;
+  summary.block_lanes =
+      pinned->sweep == BatchOptions::Sweep::kBlocked ? pinned->block_lanes : 1;
+  summary.window = window;
   summary.labels = artifacts_->labels;
   const std::size_t groups = summary.labels.size();
   constexpr double kInf = std::numeric_limits<double>::infinity();
@@ -963,13 +1011,14 @@ util::Result<SweepSummary> CompiledSession::AssignStream(
   summary.metric_min = kInf;
   summary.metric_max = -kInf;
 
-  // The base compressed row is the metric's reference point, shared by
-  // every chunk; the pool-sized base feeds the per-chunk overlay rebinds.
-  const prov::Valuation base = PoolSized(base_meta_valuation);
+  // The base compressed row is the metric's reference point, and the one
+  // pool-sized base is shared by every window's overlay.
+  const std::shared_ptr<const prov::Valuation> base =
+      SharedBase(base_meta_valuation);
   const BaseFingerprint base_fp =
-      FingerprintBase(base_meta_valuation, artifacts_->frozen_pool_size);
+      FingerprintBase(*base, artifacts_->frozen_pool_size);
   std::vector<double> base_comp;
-  artifacts_->compressed_program.Eval(base, &base_comp);
+  artifacts_->compressed_program.Eval(*base, &base_comp);
 
   const prov::EvalProgram& sweep_full = artifacts_->sweep_full_program;
   const prov::EvalProgram& compressed = artifacts_->compressed_program;
@@ -1044,7 +1093,7 @@ util::Result<SweepSummary> CompiledSession::AssignStream(
 
     timer.Reset();
     util::Result<std::shared_ptr<const PlanCore>> core_result =
-        plan.LowerChunk(chunk);
+        PlanCore::Create(shared_from_this(), chunk, *pinned);
     if (!core_result.ok()) return core_result.status();
     const PlanCore& core = **core_result;
     const std::shared_ptr<const PlanBaseOverlay> overlay =
@@ -1237,7 +1286,7 @@ util::Result<SweepSummary> CompiledSession::AssignStream(
 util::Result<SweepSummary> CompiledSession::AssignStream(
     const ScenarioSource& source, const StreamOptions& options,
     const StreamConsumer& consumer) const {
-  return AssignStream(source, default_meta_, options, consumer);
+  return AssignStream(source, *default_meta_, options, consumer);
 }
 
 }  // namespace cobra::core

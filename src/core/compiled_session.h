@@ -2,6 +2,7 @@
 #define COBRA_CORE_COMPILED_SESSION_H_
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -27,6 +28,13 @@
 namespace cobra::core {
 
 struct SnapshotPackage;  // core/io.h
+
+/// When a batch sweep gives up: `CompiledSession::Execute` and
+/// `AssignBatch` check it between tiles and answer
+/// `Status::DeadlineExceeded` once it has passed. `kNoDeadline`, the
+/// default, never passes.
+using SweepDeadline = std::chrono::steady_clock::time_point;
+inline constexpr SweepDeadline kNoDeadline = SweepDeadline::max();
 
 /// Outcome of one hypothetical-scenario assignment through the session:
 /// everything the demo UI displays (result deltas, provenance sizes, and
@@ -397,9 +405,10 @@ class CompiledSession
     return artifacts_->remap;
   }
 
-  /// The default compressed-side valuation scenarios are applied on top of.
+  /// The default compressed-side valuation scenarios are applied on top of,
+  /// pool-sized. Every plan on the default base shares this one copy.
   const prov::Valuation& default_meta_valuation() const {
-    return default_meta_;
+    return *default_meta_;
   }
 
   /// The full-side expansion of the default meta valuation.
@@ -441,20 +450,25 @@ class CompiledSession
   /// `base_meta_valuation`. Scenario names must be unique and every delta
   /// variable must resolve in `pool()` to an id the snapshot knows (interned
   /// before the snapshot was taken). A thin plan-then-execute wrapper:
-  /// equivalent to `Execute(**PlanBatch(scenarios, base, options))`, with
-  /// the plan served from the fingerprint-keyed cache when this (scenario
-  /// set, base, options) triple was planned before. The default
-  /// `Sweep::kAuto` picks the engine and lane count adaptively (see
+  /// equivalent to `Execute(**PlanBatch(scenarios, base, options),
+  /// deadline)`, with the plan served from the fingerprint-keyed cache when
+  /// this (scenario set, base, options) triple was planned before. The
+  /// default `Sweep::kAuto` picks the engine and lane count adaptively (see
   /// `BatchOptions::Sweep`); results are bit-identical to sequential
-  /// `Assign()` for every engine, lane width and thread count.
+  /// `Assign()` for every engine, lane width and thread count. Planning is
+  /// never cut short; the sweep stops at the first tile boundary past
+  /// `deadline` and the call then fails with `DeadlineExceeded`.
   util::Result<BatchAssignReport> AssignBatch(
       const ScenarioSet& scenarios,
       const prov::Valuation& base_meta_valuation,
-      const BatchOptions& options = {}) const;
+      const BatchOptions& options = {},
+      SweepDeadline deadline = kNoDeadline) const;
 
-  /// AssignBatch() on top of the snapshot's default meta valuation.
+  /// AssignBatch() on top of the snapshot's default meta valuation (shared
+  /// by every cached plan, never copied).
   util::Result<BatchAssignReport> AssignBatch(
-      const ScenarioSet& scenarios, const BatchOptions& options = {}) const;
+      const ScenarioSet& scenarios, const BatchOptions& options = {},
+      SweepDeadline deadline = kNoDeadline) const;
 
   /// Evaluates every scenario against every base valuation — the 2-D grid
   /// sweep (one scenario set × many per-user defaults). The shared plan
@@ -474,10 +488,11 @@ class CompiledSession
 
   /// Sweeps a generated scenario space as a stream of
   /// `BatchOptions::stream_block_scenarios`-sized blocks, on top of
-  /// `base_meta_valuation`: each block is generated from the source, lowered
-  /// to a window-sized plan chunk (same lowering, same block-override
-  /// tables, same tile schedules as `AssignBatch` — the engine is resolved
-  /// once up front and pinned), swept through the shared kernels, folded
+  /// `base_meta_valuation`: each block is generated from the source,
+  /// planned by `PlanCore::Create` like a batch (same lowering, same
+  /// block-override tables, same tile schedules as `AssignBatch`, with the
+  /// engine pinned once for the whole stream by `PlanCore::PinOptions`),
+  /// swept through the shared kernels on one shared pool-sized base, folded
   /// into the running `SweepSummary`, and handed to `consumer` before the
   /// next block is generated. Peak memory is bounded by the window — a
   /// 10^8-scenario grid sweeps in the same footprint as a 10^4 one.
@@ -529,8 +544,11 @@ class CompiledSession
   /// Executes a compiled plan: the execute-many half. The plan must have
   /// been built by this session's PlanBatch (rejected with InvalidArgument
   /// otherwise); it may be executed any number of times, concurrently, and
-  /// results are bit-identical to the equivalent AssignBatch call.
-  util::Result<BatchAssignReport> Execute(const BatchPlan& plan) const;
+  /// results are bit-identical to the equivalent AssignBatch call. Once
+  /// `deadline` has passed, the sweep skips its remaining tiles and the
+  /// call returns `DeadlineExceeded` — never partial values.
+  util::Result<BatchAssignReport> Execute(
+      const BatchPlan& plan, SweepDeadline deadline = kNoDeadline) const;
 
   /// Aggregate plan-cache counters. Every PlanBatch lookup (AssignBatch and
   /// AssignGrid go through the same cache) lands in exactly one bucket:
@@ -606,34 +624,6 @@ class CompiledSession
   /// Copies `v` and extends it neutrally to the pool size.
   prov::Valuation PoolSized(const prov::Valuation& v) const;
 
-  /// The shared implementation behind both PlanBatch overloads (and the
-  /// grid's core acquisition): the default-base overload passes the
-  /// fingerprint precomputed at construction so the warm path never
-  /// rehashes the (immutable) default valuation. `core_hit`, when non-null,
-  /// reports whether at least the plan core came from the cache.
-  util::Result<std::shared_ptr<const BatchPlan>> PlanBatchImpl(
-      const ScenarioSet& scenarios,
-      const prov::Valuation& base_meta_valuation,
-      const BaseFingerprint& base_fingerprint, const BatchOptions& options,
-      bool* cache_hit, bool* core_hit) const;
-
-  /// Runs the sparse/blocked sweep of one program side for every scenario,
-  /// writing the scenario-major result matrix (num_scenarios ×
-  /// program.NumPolys(), row-major) to `flat` — the execution core shared
-  /// by Execute(), AssignGrid() and AssignStream(). Performs exactly the
-  /// same tile dispatch and kernel calls regardless of the caller, so grid
-  /// and stream cells are bit-identical to batch results.
-  /// `used_threads` is raised (never lowered) to the worker count used.
-  /// `block_mask`, when non-null, has one byte per scenario block; a block
-  /// whose byte is 0 is skipped entirely (its rows in `flat` are left
-  /// untouched) — the streaming early-exit hook. Computed blocks run the
-  /// identical kernel path, so masking never perturbs surviving rows.
-  void SweepPlanProgram(const PlanCore& core, const PlanBaseOverlay& overlay,
-                        const prov::EvalProgram& program,
-                        const ProgramSchedule& schedule, double* flat,
-                        std::size_t* used_threads,
-                        const std::uint8_t* block_mask = nullptr) const;
-
   /// Base-invariant identity of one planned batch: the scenario-set
   /// fingerprint plus the options a core is derived from — deliberately
   /// *without* the base valuation, which only selects an overlay inside the
@@ -668,6 +658,59 @@ class CompiledSession
   static PlanCacheKey MakePlanCacheKey(const ScenarioSet& scenarios,
                                        const BatchOptions& options);
 
+  /// The shared implementation behind both PlanBatch overloads, AssignBatch
+  /// and the grid's core acquisition: looks `key` (MakePlanCacheKey of
+  /// `scenarios` and `options`) and the base fingerprint up in the plan
+  /// cache, plans what is missing and inserts it. The default-base callers
+  /// pass the fingerprint precomputed at construction, so the warm path
+  /// never rehashes the (immutable) default valuation. `core_hit`, when
+  /// non-null, reports whether at least the plan core came from the cache.
+  util::Result<std::shared_ptr<const BatchPlan>> PlanBatchImpl(
+      const PlanCacheKey& key, const ScenarioSet& scenarios,
+      const prov::Valuation& base_meta_valuation,
+      const BaseFingerprint& base_fingerprint, const BatchOptions& options,
+      bool* cache_hit, bool* core_hit) const;
+
+  /// The cached full plan for (key, base fingerprint), or null. On a miss,
+  /// `core` (when non-null) receives the cached core, if there is one.
+  std::shared_ptr<const BatchPlan> LookupPlan(
+      const PlanCacheKey& key, const BaseFingerprint& base_fingerprint,
+      std::shared_ptr<const PlanCore>* core) const;
+
+  /// `base` pool-sized behind a shared pointer for an overlay: the
+  /// session's own default base when `base` is that valuation (shared, not
+  /// copied), a pool-sized copy otherwise.
+  std::shared_ptr<const prov::Valuation> SharedBase(
+      const prov::Valuation& base) const;
+
+  /// PlanBatchImpl() + Execute(), reporting the cache outcome.
+  util::Result<BatchAssignReport> AssignBatchImpl(
+      const ScenarioSet& scenarios, const prov::Valuation& base_meta_valuation,
+      const BaseFingerprint& base_fingerprint, const BatchOptions& options,
+      SweepDeadline deadline) const;
+
+  /// Runs the sparse/blocked sweep of one program side for every scenario,
+  /// writing the scenario-major result matrix (num_scenarios ×
+  /// program.NumPolys(), row-major) to `flat` — the execution core shared
+  /// by Execute(), AssignGrid() and AssignStream(). Performs exactly the
+  /// same tile dispatch and kernel calls regardless of the caller, so grid
+  /// and stream cells are bit-identical to batch results.
+  /// `used_threads` is raised (never lowered) to the worker count used.
+  /// `block_mask`, when non-null, has one byte per scenario block; a block
+  /// whose byte is 0 is skipped entirely (its rows in `flat` are left
+  /// untouched) — the streaming early-exit hook. Computed blocks run the
+  /// identical kernel path, so masking never perturbs surviving rows.
+  /// Every tile first checks `deadline` (one comparison when it is
+  /// kNoDeadline); once any worker sees it has passed, every remaining tile
+  /// is skipped and the sweep returns false, leaving `flat` partial.
+  /// Returns true when every tile ran.
+  bool SweepPlanProgram(const PlanCore& core, const PlanBaseOverlay& overlay,
+                        const prov::EvalProgram& program,
+                        const ProgramSchedule& schedule, double* flat,
+                        std::size_t* used_threads,
+                        const std::uint8_t* block_mask = nullptr,
+                        SweepDeadline deadline = kNoDeadline) const;
+
   /// Cached cores are bounded, as are the overlays attached to each one; a
   /// server cycling through more distinct scenario sets (or bases) than
   /// this simply re-plans the excess (correctness never depends on the
@@ -676,9 +719,11 @@ class CompiledSession
   static constexpr std::size_t kMaxOverlaysPerEntry = 8;
 
   std::shared_ptr<const Artifacts> artifacts_;
-  prov::Valuation default_meta_;
+  /// The pool-sized default meta valuation, shared by every overlay planned
+  /// on the default base. Never null.
+  std::shared_ptr<const prov::Valuation> default_meta_;
   prov::Valuation default_full_;
-  /// FingerprintBase(default_meta_, pool), precomputed.
+  /// FingerprintBase(*default_meta_, pool), precomputed.
   BaseFingerprint default_base_fingerprint_;
 
   /// The plan cache: the one synchronized corner of the serving layer.

@@ -39,13 +39,10 @@ constexpr std::chrono::milliseconds kParkedRetry{1};
 /// Bytes the I/O thread reads from one connection per poll round.
 constexpr std::size_t kReadChunkBytes = 64u << 10;
 
-/// Copies one batch report into the response matrices (appending — the
-/// chunked path calls this once per chunk).
-void AppendBatchReport(const core::BatchAssignReport& report,
-                       WireResponse* response) {
-  for (const std::string& name : report.scenario_names) {
-    response->scenario_names.push_back(name);
-  }
+/// Copies one batch report into the response's names and value matrices.
+void CopyBatchReport(const core::BatchAssignReport& report,
+                     WireResponse* response) {
+  response->scenario_names = report.scenario_names;
   for (const core::AssignReport& scenario : report.reports) {
     for (const core::ResultDelta::Row& row : scenario.delta.rows) {
       response->full_values.push_back(row.full);
@@ -425,18 +422,13 @@ WireResponse CobraServer::RunAssignBatch(const PendingRequest& pending) {
                          "deadline expired before execution started");
   }
 
-  const std::size_t chunk =
-      options_.deadline_check_scenarios > 0
-          ? static_cast<std::size_t>(options_.deadline_check_scenarios)
-          : scenarios.size();
-
-  if (scenarios.size() <= chunk) {
-    // Whole-batch path: coalesce identical concurrent batches. The key is
-    // the scenario set's content fingerprint plus the snapshot version —
-    // requests pinned to different versions never share a result.
-    const core::PlanFingerprint fp = core::FingerprintScenarios(scenarios);
-    const auto key = std::make_pair(std::make_pair(fp.lo, fp.hi),
-                                    snapshot.version);
+  // Coalesce identical concurrent batches. The key is the scenario set's
+  // content fingerprint plus the snapshot version — requests pinned to
+  // different versions never share a result.
+  const core::PlanFingerprint fp = core::FingerprintScenarios(scenarios);
+  const auto key =
+      std::make_pair(std::make_pair(fp.lo, fp.hi), snapshot.version);
+  for (;;) {
     std::shared_ptr<Inflight> inflight;
     bool leader = false;
     {
@@ -458,17 +450,23 @@ WireResponse CobraServer::RunAssignBatch(const PendingRequest& pending) {
         return ErrorResponse(WireCode::kDeadlineExceeded,
                              "deadline expired waiting for coalesced batch");
       }
+      // The leader's deadline is not ours: its cancelled sweep says nothing
+      // about this request, which runs again (or follows a newer leader).
+      if (inflight->result.code == WireCode::kDeadlineExceeded) continue;
       coalesced_.fetch_add(1, std::memory_order_relaxed);
       return inflight->result;
     }
-    // Leader: execute, publish, unregister.
+    // Leader: execute (the sweep stops at the first tile past the
+    // deadline), publish, unregister.
+    COBRA_FAULT_STALL(FaultPoint::kSlowExecute);
     WireResponse response;
     util::Result<core::BatchAssignReport> report =
-        snapshot.session->AssignBatch(scenarios);
+        snapshot.session->AssignBatch(scenarios, core::BatchOptions{},
+                                      pending.deadline);
     if (report.ok()) {
       response.snapshot_version = snapshot.version;
       response.labels = snapshot.session->labels();
-      AppendBatchReport(*report, &response);
+      CopyBatchReport(*report, &response);
     } else {
       response.code = ToWireCode(report.status().code());
       response.message = report.status().message();
@@ -485,42 +483,6 @@ WireResponse CobraServer::RunAssignBatch(const PendingRequest& pending) {
     inflight->cv.notify_all();
     return response;
   }
-
-  // Chunked path: large batches run in sub-batches with a cooperative
-  // deadline check between them. Scenarios are independent, so the
-  // concatenated results are bit-identical to one whole-batch call.
-  WireResponse response;
-  response.snapshot_version = snapshot.version;
-  response.labels = snapshot.session->labels();
-  for (std::size_t offset = 0; offset < scenarios.size(); offset += chunk) {
-    if (Clock::now() >= pending.deadline) {
-      return ErrorResponse(
-          WireCode::kDeadlineExceeded,
-          "deadline expired after " + std::to_string(offset) + " of " +
-              std::to_string(scenarios.size()) + " scenarios");
-    }
-    core::ScenarioSet sub;
-    const std::size_t end = std::min(offset + chunk, scenarios.size());
-    sub.Reserve(end - offset);
-    for (std::size_t i = offset; i < end; ++i) {
-      // Names were vetted unique by the decoder; a sub-batch of distinct
-      // indices cannot collide.
-      util::Result<core::ScenarioSet::Handle> added =
-          sub.Add(scenarios.scenario(i));
-      if (!added.ok()) {
-        return ErrorResponse(WireCode::kInvalidArgument,
-                             added.status().message());
-      }
-    }
-    util::Result<core::BatchAssignReport> report =
-        snapshot.session->AssignBatch(sub);
-    if (!report.ok()) {
-      return ErrorResponse(ToWireCode(report.status().code()),
-                           report.status().message());
-    }
-    AppendBatchReport(*report, &response);
-  }
-  return response;
 }
 
 bool CobraServer::SendInline(const std::shared_ptr<Connection>& conn,

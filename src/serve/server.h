@@ -49,17 +49,21 @@
 ///   2. **Bounded admission.** Admitted requests enter a fixed-capacity
 ///      queue; when it is full the server sheds (kUnavailable + retry-after
 ///      hint) instead of buffering. Every request carries a deadline;
-///      workers check it before execution and — for large batches —
-///      between scenario chunks. Chunking never changes answers: scenarios
-///      are independent, so chunked results are bit-identical.
+///      workers check it before execution, and the request's one sweep
+///      checks it between tiles and stops at the first tile past it. A
+///      request past its deadline answers kDeadlineExceeded, never partial
+///      values.
 ///
 ///   3. **Drain on stop.** `Stop()` sheds the frames already received,
 ///      half-closes every connection, lets the workers finish everything
 ///      already admitted, and only then tears down.
 ///
-/// Identical concurrent batches coalesce: requests whose scenario sets
-/// share a content fingerprint (and that target the same snapshot version)
-/// execute once and fan the result out.
+/// Identical concurrent batches coalesce, whatever their size: requests
+/// whose scenario sets share a content fingerprint (and that target the
+/// same snapshot version) execute once and fan the result out. A follower
+/// is bound only by its own deadline: when the leader's sweep is cancelled
+/// by the leader's deadline, the follower runs the batch itself (or
+/// follows a newer leader).
 namespace cobra::serve {
 
 struct ServerOptions {
@@ -70,16 +74,12 @@ struct ServerOptions {
   /// Admission queue capacity; requests beyond it are shed.
   int queue_capacity = 128;
   /// Deadline applied when a request does not name one, and the ceiling
-  /// applied when it does.
+  /// applied when it does. Measured from admission; checked before
+  /// execution and between the sweep's tiles.
   int default_deadline_ms = 10000;
   int max_deadline_ms = 60000;
   /// The retry hint attached to shed responses.
   int retry_after_ms = 50;
-  /// Batches larger than this run in chunks of this many scenarios with a
-  /// cooperative deadline check between chunks (bit-identical: scenarios
-  /// are independent). Batches at or under it run whole — the
-  /// plan-cache-friendly and coalescible path.
-  int deadline_check_scenarios = 256;
 };
 
 /// Monotonic serving counters, readable while the server runs.
@@ -165,7 +165,8 @@ class CobraServer {
   /// Executes one queued request and writes its response.
   void Execute(PendingRequest& pending);
 
-  /// The AssignBatch path: coalescing, chunking, deadline checks.
+  /// The AssignBatch path: coalescing and deadline checks around one
+  /// whole-batch plan and sweep.
   WireResponse RunAssignBatch(const PendingRequest& pending);
 
   /// I/O-thread write under the connection's write lock: never blocks.

@@ -280,6 +280,11 @@ VerifyReport VerifyPlan(const core::BatchPlan& plan,
                     "session");
     return report;
   }
+  // Every check below, and every kernel, reads the overlay's shared base.
+  if (plan.overlay().base == nullptr) {
+    report.AddError("plan overlay", 0, "base valuation is null");
+    return report;
+  }
 
   const std::size_t n = plan.num_scenarios();
   const std::size_t pool_size = session.pool_size();

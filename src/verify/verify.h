@@ -137,7 +137,7 @@ VerifyReport VerifyProgram(const core::EvalProgramImage& image,
 /// 1 for the scalar engine; the block count and per-block override-union
 /// tables are consistent with the scenario count; every compiled override
 /// list is sorted, duplicate-free and within the frozen pool; the base
-/// valuation is pool-sized; and each side's tile schedule partitions the
+/// valuation is present and pool-sized; and each side's tile schedule partitions the
 /// (scenario-block × poly-range) space exactly once — sorted disjoint
 /// whole-poly ranges covering every polynomial — on between one worker and
 /// the thread budget clamped to its tiles.

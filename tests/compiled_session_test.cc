@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <memory>
 #include <string>
@@ -373,6 +374,74 @@ TEST(CompiledSessionTest, ThreadCountNeverChangesResultBits) {
       EXPECT_EQ(summary.chunks, 3u);
     }
   }
+}
+
+// A deadline cancels the sweep between tiles and never yields partial
+// values; a deadline that does not pass changes no bit.
+TEST(CompiledSessionTest, DeadlineCancelsTheSweepAndAFarOneChangesNoBits) {
+  Session session;
+  LoadDominantPolySession(&session);
+  auto snapshot = session.Snapshot().ValueOrDie();
+  const ScenarioSet scenarios = DominantPolyScenarios(64);
+  const SweepDeadline far =
+      std::chrono::steady_clock::now() + std::chrono::hours(1);
+
+  for (std::size_t threads : {1u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    BatchOptions options;
+    options.num_threads = threads;
+    std::shared_ptr<const BatchPlan> plan =
+        snapshot->PlanBatch(scenarios, options).ValueOrDie();
+
+    const SweepDeadline passed = std::chrono::steady_clock::now();
+    util::Result<BatchAssignReport> cancelled =
+        snapshot->Execute(*plan, passed);
+    ASSERT_FALSE(cancelled.ok());
+    EXPECT_EQ(cancelled.status().code(), util::StatusCode::kDeadlineExceeded);
+    cancelled = snapshot->AssignBatch(scenarios, options, passed);
+    ASSERT_FALSE(cancelled.ok());
+    EXPECT_EQ(cancelled.status().code(), util::StatusCode::kDeadlineExceeded);
+
+    const BatchAssignReport reference =
+        snapshot->AssignBatch(scenarios, options).ValueOrDie();
+    std::vector<ResultDelta> want;
+    for (const AssignReport& report : reference.reports) {
+      want.push_back(report.delta);
+    }
+    ExpectBitIdentical(want, snapshot->Execute(*plan, far).ValueOrDie());
+    ExpectBitIdentical(
+        want, snapshot->AssignBatch(scenarios, options, far).ValueOrDie());
+  }
+}
+
+// Every plan on the default base shares the session's one pool-sized copy
+// of it; an explicit base gets its own copy.
+TEST(CompiledSessionTest, DefaultBasePlansShareTheSessionsBase) {
+  Session session;
+  LoadPaperSession(&session);
+  auto snapshot = session.Snapshot().ValueOrDie();
+  ScenarioSet scenarios;
+  scenarios.Add("slump").ValueOrDie().Set("Business", 0.8);
+  const prov::Valuation* shared = &snapshot->default_meta_valuation();
+  EXPECT_EQ(shared->size(), snapshot->pool_size());
+
+  BatchOptions sparse;
+  sparse.sweep = BatchOptions::Sweep::kSparseDelta;
+  EXPECT_EQ(&snapshot->PlanBatch(scenarios).ValueOrDie()->base(), shared);
+  EXPECT_EQ(&snapshot->PlanBatch(scenarios, sparse).ValueOrDie()->base(),
+            shared);
+  snapshot->ClearPlanCache();  // Plan the passed default base afresh.
+  EXPECT_EQ(&snapshot->PlanBatch(scenarios, *shared, sparse)
+                 .ValueOrDie()
+                 ->base(),
+            shared);
+
+  prov::Valuation moved = *shared;
+  moved.Set(snapshot->pool().Find("Business"), 1.1);
+  const std::shared_ptr<const BatchPlan> explicit_base =
+      snapshot->PlanBatch(scenarios, moved).ValueOrDie();
+  EXPECT_NE(&explicit_base->base(), shared);
+  EXPECT_EQ(explicit_base->base().values(), moved.values());
 }
 
 TEST(CompiledSessionTest, SnapshotSharesPoolAndFreezesItsSize) {

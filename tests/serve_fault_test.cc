@@ -13,7 +13,12 @@
 //     crashing;
 //   - a client burst riding across a hot swap completes every accepted
 //     request bit-identically to a direct AssignBatch against exactly one
-//     published version.
+//     published version;
+//   - identical concurrent batches coalesce onto one run, and a follower
+//     answers by its own deadline, never by a cancelled leader's;
+//   - a request past its deadline answers kDeadlineExceeded and leaves its
+//     connection serving, and a large batch is served whole, bit-identical
+//     to an in-process AssignBatch.
 
 #include <gtest/gtest.h>
 
@@ -31,6 +36,7 @@
 #include "core/scenario.h"
 #include "core/session.h"
 #include "data/example_db.h"
+#include "dominant_poly_session.h"
 #include "serve/fault.h"
 #include "serve/server.h"
 #include "serve/snapshot_watcher.h"
@@ -62,6 +68,54 @@ ScenarioSet ExampleScenarios() {
   scenarios.Add("slump").ValueOrDie().Set("Business", 0.8);
   scenarios.Add("mixed").ValueOrDie().Set("Business", 1.25).Set("Special", 0.9);
   return scenarios;
+}
+
+/// The scenario-major values of a direct in-process AssignBatch, in the
+/// wire's order: every full value, then every compressed value.
+std::vector<double> DirectValues(const CompiledSession& snapshot,
+                                 const ScenarioSet& scenarios) {
+  const core::BatchAssignReport report =
+      snapshot.AssignBatch(scenarios).ValueOrDie();
+  std::vector<double> full;
+  std::vector<double> compressed;
+  for (const core::AssignReport& scenario : report.reports) {
+    for (const core::ResultDelta::Row& row : scenario.delta.rows) {
+      full.push_back(row.full);
+      compressed.push_back(row.compressed);
+    }
+  }
+  full.insert(full.end(), compressed.begin(), compressed.end());
+  return full;
+}
+
+/// A served response's values in DirectValues() order.
+std::vector<double> ServedValues(const WireResponse& response) {
+  std::vector<double> values = response.full_values;
+  values.insert(values.end(), response.compressed_values.begin(),
+                response.compressed_values.end());
+  return values;
+}
+
+bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (!SameBits(a[i], b[i])) return false;
+  }
+  return true;
+}
+
+/// Sends one AssignBatch on a fresh connection and returns the response.
+util::Result<WireResponse> CallOnce(int port, const ScenarioSet& scenarios,
+                                    std::uint32_t deadline_ms,
+                                    std::uint64_t request_id) {
+  util::Result<Client> client = Client::Connect("127.0.0.1", port, 60000);
+  if (!client.ok()) return client.status();
+  WireRequest request;
+  request.type = MsgType::kAssignBatch;
+  request.request_id = request_id;
+  request.deadline_ms = deadline_ms;
+  request.scenarios = scenarios;
+  return client->Call(request);
 }
 
 std::string MakeDir(const std::string& name) {
@@ -419,6 +473,178 @@ TEST_F(ServeFaultTest, CorruptSnapshotQuarantinesExactlyOnceUnderTraffic) {
     EXPECT_NE(log_text.find("checksum mismatch"), std::string::npos);
   }
   server.Stop();
+}
+
+// Identical concurrent batches run once: the leader stalls just before its
+// sweep, every other request finds its run in flight and waits for it, and
+// all of them answer the same bits as an in-process AssignBatch.
+TEST_F(ServeFaultTest, IdenticalConcurrentBatchesCoalesceOntoOneRun) {
+  Session session;
+  std::shared_ptr<const CompiledSession> origin = ExampleSnapshot(&session);
+  const ScenarioSet scenarios = ExampleScenarios();
+  const std::vector<double> expected = DirectValues(*origin, scenarios);
+
+  constexpr int kRequests = 4;
+  ServerOptions options;
+  options.num_workers = kRequests;
+  CobraServer server(options);
+  server.set_log([](const std::string&) {});
+  ASSERT_TRUE(server.Start().ok());
+  server.Swap(origin, "v1");
+
+  ArmFault(FaultPoint::kSlowExecute, /*count=*/1, /*delay_ms=*/1000);
+  std::vector<util::Result<WireResponse>> responses(
+      kRequests, util::Status::Internal("not sent"));
+  std::vector<std::thread> clients;
+  for (int i = 0; i < kRequests; ++i) {
+    clients.emplace_back([&, i] {
+      responses[i] = CallOnce(server.port(), scenarios, 30000,
+                              static_cast<std::uint64_t>(i) + 1);
+    });
+  }
+  for (std::thread& client : clients) client.join();
+  server.Stop();
+
+  for (int i = 0; i < kRequests; ++i) {
+    ASSERT_TRUE(responses[i].ok()) << responses[i].status().ToString();
+    EXPECT_EQ(responses[i]->code, WireCode::kOk) << responses[i]->message;
+    EXPECT_TRUE(SameBits(ServedValues(*responses[i]), expected)) << i;
+  }
+  EXPECT_EQ(FaultFireCount(FaultPoint::kSlowExecute), 1);
+  EXPECT_EQ(server.stats().coalesced, static_cast<std::uint64_t>(kRequests - 1));
+  EXPECT_EQ(server.stats().completed, static_cast<std::uint64_t>(kRequests));
+}
+
+// A leader's deadline is its own: when it cancels the leader's sweep, the
+// followers waiting on that run (with time left) run the batch again and
+// answer OK instead of inheriting the leader's kDeadlineExceeded.
+TEST_F(ServeFaultTest, FollowerOutlivesALeaderCancelledByItsOwnDeadline) {
+  Session session;
+  std::shared_ptr<const CompiledSession> origin = ExampleSnapshot(&session);
+  const ScenarioSet scenarios = ExampleScenarios();
+  const std::vector<double> expected = DirectValues(*origin, scenarios);
+
+  constexpr int kFollowers = 3;
+  ServerOptions options;
+  options.num_workers = kFollowers + 1;
+  CobraServer server(options);
+  server.set_log([](const std::string&) {});
+  ASSERT_TRUE(server.Start().ok());
+  server.Swap(origin, "v1");
+
+  // The leader passes the pre-execution check, then stalls past its 50 ms
+  // deadline just before its sweep.
+  ArmFault(FaultPoint::kSlowExecute, /*count=*/1, /*delay_ms=*/1000);
+  util::Result<WireResponse> leader = util::Status::Internal("not sent");
+  std::thread leader_client(
+      [&] { leader = CallOnce(server.port(), scenarios, 50, 1); });
+  const auto give_up = std::chrono::steady_clock::now() +
+                       std::chrono::seconds(30);
+  while (FaultFireCount(FaultPoint::kSlowExecute) == 0 &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(FaultFireCount(FaultPoint::kSlowExecute), 1);
+
+  // The followers arrive while the leader stalls, so they wait on its run.
+  std::vector<util::Result<WireResponse>> followers(
+      kFollowers, util::Status::Internal("not sent"));
+  std::vector<std::thread> clients;
+  for (int i = 0; i < kFollowers; ++i) {
+    clients.emplace_back([&, i] {
+      followers[i] = CallOnce(server.port(), scenarios, 30000,
+                              static_cast<std::uint64_t>(i) + 2);
+    });
+  }
+  leader_client.join();
+  for (std::thread& client : clients) client.join();
+  server.Stop();
+
+  ASSERT_TRUE(leader.ok()) << leader.status().ToString();
+  EXPECT_EQ(leader->code, WireCode::kDeadlineExceeded) << leader->message;
+  for (int i = 0; i < kFollowers; ++i) {
+    ASSERT_TRUE(followers[i].ok()) << followers[i].status().ToString();
+    EXPECT_EQ(followers[i]->code, WireCode::kOk) << followers[i]->message;
+    EXPECT_TRUE(SameBits(ServedValues(*followers[i]), expected)) << i;
+  }
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.deadline_exceeded, 1u);
+  EXPECT_EQ(stats.completed, static_cast<std::uint64_t>(kFollowers));
+}
+
+// A 1024-scenario request with a 1 ms deadline cannot finish: it answers
+// kDeadlineExceeded, counts as such, and its connection serves on.
+TEST_F(ServeFaultTest, ExpiredLargeBatchAnswersDeadlineAndConnectionServesOn) {
+  Session session;
+  core::LoadDominantPolySession(&session);
+  std::shared_ptr<const CompiledSession> snapshot =
+      session.Snapshot().ValueOrDie();
+  CobraServer server(ServerOptions{});
+  server.set_log([](const std::string&) {});
+  ASSERT_TRUE(server.Start().ok());
+  server.Swap(snapshot, "dominant");
+
+  util::Result<Client> client =
+      Client::Connect("127.0.0.1", server.port(), 60000);
+  ASSERT_TRUE(client.ok());
+  WireRequest request;
+  request.type = MsgType::kAssignBatch;
+  request.request_id = 1;
+  request.deadline_ms = 1;
+  request.scenarios = core::DominantPolyScenarios(1024);
+  util::Result<WireResponse> expired = client->Call(request);
+  ASSERT_TRUE(expired.ok()) << expired.status().ToString();
+  EXPECT_EQ(expired->code, WireCode::kDeadlineExceeded);
+  EXPECT_TRUE(expired->full_values.empty());
+  EXPECT_EQ(server.stats().deadline_exceeded, 1u);
+
+  request.request_id = 2;
+  request.deadline_ms = 30000;
+  request.scenarios = core::DominantPolyScenarios(8);
+  util::Result<WireResponse> next = client->Call(request);
+  ASSERT_TRUE(next.ok()) << next.status().ToString();
+  EXPECT_EQ(next->code, WireCode::kOk) << next->message;
+  EXPECT_TRUE(SameBits(ServedValues(*next),
+                       DirectValues(*snapshot, request.scenarios)));
+  server.Stop();
+}
+
+// A served 1024-scenario request runs as one blocked sweep and answers the
+// same bits, value for value, as an in-process AssignBatch of the same set.
+TEST(ServeLargeBatchTest, ServedLargeBatchIsBitIdenticalToInProcess) {
+  Session session;
+  core::LoadDominantPolySession(&session);
+  std::shared_ptr<const CompiledSession> snapshot =
+      session.Snapshot().ValueOrDie();
+  const ScenarioSet scenarios = core::DominantPolyScenarios(1024);
+  const core::BatchAssignReport direct =
+      snapshot->AssignBatch(scenarios).ValueOrDie();
+  ASSERT_EQ(direct.engine, core::BatchOptions::Sweep::kBlocked);
+
+  CobraServer server(ServerOptions{});
+  server.set_log([](const std::string&) {});
+  ASSERT_TRUE(server.Start().ok());
+  server.Swap(snapshot, "dominant");
+  util::Result<WireResponse> served =
+      CallOnce(server.port(), scenarios, 60000, 1);
+  server.Stop();
+
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  ASSERT_EQ(served->code, WireCode::kOk) << served->message;
+  ASSERT_EQ(served->num_scenarios(), scenarios.size());
+  ASSERT_EQ(served->num_groups(), snapshot->labels().size());
+  for (std::size_t s = 0; s < scenarios.size(); ++s) {
+    EXPECT_EQ(served->scenario_names[s], direct.scenario_names[s]);
+    const std::vector<core::ResultDelta::Row>& rows =
+        direct.reports[s].delta.rows;
+    for (std::size_t g = 0; g < rows.size(); ++g) {
+      EXPECT_TRUE(SameBits(served->full_value(s, g), rows[g].full))
+          << "scenario " << s << " group " << g;
+      EXPECT_TRUE(SameBits(served->compressed_value(s, g),
+                           rows[g].compressed))
+          << "scenario " << s << " group " << g;
+    }
+  }
 }
 
 }  // namespace

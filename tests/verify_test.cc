@@ -636,7 +636,7 @@ TEST_F(VerifyPlanTest, UndersizedOverlayBaseIsDetected) {
   std::shared_ptr<const core::BatchPlan> plan =
       snapshot_->PlanBatch(scenarios_).ValueOrDie();
   auto bad = std::make_shared<core::PlanBaseOverlay>(plan->overlay());
-  bad->base = prov::Valuation(1);
+  bad->base = std::make_shared<const prov::Valuation>(1);
   std::shared_ptr<const core::BatchPlan> tampered =
       core::BatchPlan::FromParts(plan->core(), bad);
   const VerifyReport report = VerifyPlan(*tampered, *snapshot_, &scenarios_);
