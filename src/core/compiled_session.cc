@@ -35,7 +35,7 @@ std::vector<prov::VarId> ExtendIdentity(std::vector<prov::VarId> mapping,
   return mapping;
 }
 
-/// The process-wide helper pool behind SweepPlanProgram. The calling thread
+/// The process-wide helper pool behind every sweep. The calling thread
 /// always drains its own job, and helpers only join in, so a sweep never
 /// waits for a free helper and concurrent callers simply share them.
 /// Helpers start lazily, up to the largest `workers - 1` any sweep asked
@@ -116,6 +116,158 @@ class SweepPool {
   std::deque<Job*> open_;
   std::vector<std::thread> helpers_;
 };
+
+/// Runs the sparse/blocked sweep of one program side for every scenario of
+/// `core`, writing its scenario-major result matrix (scenarios ×
+/// program.NumPolys()) to `flat`. Every scenario is a small override list;
+/// the full side evaluates the meta-indirected program under the shared
+/// compressed-side base, so nothing pool-sized is copied per scenario. The
+/// blocked engine groups scenarios into blocks of `lanes` lanes: one scan of
+/// the compiled arrays serves the whole block, with the overlay's per-block
+/// override-union table patching individual lanes, and a block's tile
+/// writes `lanes` adjacent rows. Work runs as the core's (scenario-block ×
+/// poly-range) tiles on the schedule's workers; disjoint tiles touch
+/// disjoint output cells and every polynomial is summed whole by one
+/// thread, so the sweep is race-free and its bits do not depend on the
+/// schedule. A block whose `block_mask` byte is 0 is skipped and its rows
+/// are left untouched. Returns false once `deadline` has passed: a tile
+/// past it is skipped, and so is every tile after one worker has seen it
+/// pass, so a cancelled sweep stops within one tile per worker.
+bool SweepPlanProgram(const PlanCore& core, const PlanBaseOverlay& overlay,
+                      const prov::EvalProgram& program,
+                      const ProgramSchedule& schedule, double* flat,
+                      const std::uint8_t* block_mask,
+                      SweepDeadline deadline) {
+  const bool use_blocks = core.engine() == BatchOptions::Sweep::kBlocked;
+  const std::size_t lanes = core.lanes();
+  const std::vector<CompiledScenario>& compiled = core.compiled();
+  const std::vector<prov::BlockOverrides>& block_tables =
+      overlay.block_tables;
+  const prov::Valuation& base = *overlay.base;
+  const std::size_t polys = program.NumPolys();
+  const std::vector<std::pair<std::uint32_t, std::uint32_t>>& ranges =
+      schedule.ranges;
+  const std::size_t slices = schedule.slices();
+
+  const std::size_t tasks = core.num_blocks() * slices;
+  std::atomic<bool> cancelled{false};
+  auto run_task = [&](std::size_t t) {
+    if (deadline != kNoDeadline) {
+      if (cancelled.load()) return;
+      if (std::chrono::steady_clock::now() >= deadline) {
+        cancelled.store(true);
+        return;
+      }
+    }
+    const std::size_t block = t / slices;
+    // A pruned block's tiles are no-ops. Workers still claim the task ids:
+    // the test is one load, far cheaper than compacting the tile list.
+    if (block_mask != nullptr && block_mask[block] == 0) return;
+    const auto [begin, end] = ranges[t % slices];
+    const std::size_t i0 = block * lanes;
+    if (use_blocks) {
+      program.EvalRangeBlocked(base, block_tables[block], begin, end,
+                               flat + i0 * polys, polys);
+    } else {
+      const std::vector<prov::VarOverride>& ov = compiled[i0].overrides;
+      program.EvalRangeWithOverrides(base, ov.data(), ov.size(), begin, end,
+                                     flat + i0 * polys);
+    }
+  };
+  if (schedule.workers <= 1) {
+    for (std::size_t t = 0; t < tasks; ++t) run_task(t);
+  } else {
+    SweepPool::Get().Run(tasks, schedule.workers, run_task);
+  }
+  return !cancelled.load();
+}
+
+/// What SweepWindow adds up over the windows one call sweeps.
+struct SweepTotals {
+  double full_seconds = 0.0;
+  double compressed_seconds = 0.0;
+  std::size_t workers = 1;  ///< The most workers any side used.
+  std::uint64_t full_rows_computed = 0;
+  std::uint64_t full_rows_skipped = 0;
+};
+
+/// Reads a window's compressed rows (scenario-major) and sets `need[i]` to
+/// 1 for every scenario whose full row the caller wants; `need` arrives
+/// zeroed.
+using FullRowSelector =
+    std::function<void(const double* compressed, std::uint8_t* need)>;
+
+/// The one per-window sweep behind Execute, AssignGrid and AssignStream:
+/// sweeps the window planned by `core` + `overlay` into two scenario-major
+/// matrices (scenarios × groups). First the compressed side into
+/// `compressed`; then, when `select` is set, the selector marks in
+/// `full_computed` (one byte per scenario) the rows it needs, and the marks
+/// widen to the whole blocks that hold them; then the full side into `full`
+/// on the marked blocks only, or on every block without a selector. Rows
+/// of skipped blocks are left untouched. Both sides' seconds, the most
+/// workers used and the full rows computed and skipped are added to
+/// `totals`. Returns false, leaving the matrices partial, once `deadline`
+/// has passed.
+bool SweepWindow(const CompiledSession& session, const PlanCore& core,
+                 const PlanBaseOverlay& overlay, double* compressed,
+                 double* full, SweepTotals* totals,
+                 const FullRowSelector& select = {},
+                 std::uint8_t* full_computed = nullptr,
+                 SweepDeadline deadline = kNoDeadline) {
+  const std::size_t n = core.num_scenarios();
+  const std::size_t lanes = core.lanes();
+  util::Timer timer;
+  bool finished = SweepPlanProgram(core, overlay, session.compressed_program(),
+                                   core.compressed_schedule(), compressed,
+                                   nullptr, deadline);
+  totals->compressed_seconds += timer.ElapsedSeconds();
+  totals->workers =
+      std::max(totals->workers, core.compressed_schedule().workers);
+  if (!finished) return false;
+
+  std::vector<std::uint8_t> blocks;  // Empty: run every block.
+  std::size_t rows = n;
+  if (select) {
+    std::fill_n(full_computed, n, 0);
+    select(compressed, full_computed);
+    blocks.assign(core.num_blocks(), 0);
+    for (std::size_t i = 0; i < n; ++i) blocks[i / lanes] |= full_computed[i];
+    rows = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      full_computed[i] = blocks[i / lanes];
+      rows += full_computed[i];
+    }
+  }
+  totals->full_rows_computed += rows;
+  totals->full_rows_skipped += n - rows;
+  if (rows == 0) return true;
+  timer.Reset();
+  finished = SweepPlanProgram(core, overlay, session.sweep_full_program(),
+                              core.full_schedule(), full,
+                              rows == n ? nullptr : blocks.data(), deadline);
+  totals->full_seconds += timer.ElapsedSeconds();
+  totals->workers = std::max(totals->workers, core.full_schedule().workers);
+  return finished;
+}
+
+/// Audits a freshly built plan or source before it is replayed: always in
+/// debug builds, in release only when `verify_plans` is set. `check` runs
+/// the verifier pass, and a failure becomes `fail("<what> failed
+/// verification with N error finding(s); first: ...")`.
+template <typename Check>
+util::Status Audit(bool verify_plans, util::Status (*fail)(std::string),
+                   const char* what, const Check& check) {
+#ifdef NDEBUG
+  if (!verify_plans) return util::Status::OK();
+#else
+  (void)verify_plans;
+#endif
+  const verify::VerifyReport report = check();
+  if (report.ok()) return util::Status::OK();
+  return fail(util::StrFormat(
+      "%s failed verification with %zu error finding(s); first: %s", what,
+      report.num_errors(), report.FirstError()->ToString().c_str()));
+}
 
 }  // namespace
 
@@ -496,24 +648,12 @@ util::Result<std::shared_ptr<const BatchPlan>> CompiledSession::PlanBatchImpl(
                               &base_fingerprint));
 
   // Trust boundary: verify the freshly compiled plan before it enters the
-  // cache (and gets replayed indefinitely). Always in debug builds, opt-in
-  // for release via `verify_plans`. A failure here is a planner bug, not a
-  // caller error — hence Internal.
-#ifdef NDEBUG
-  const bool verify_plan = options.verify_plans;
-#else
-  const bool verify_plan = true;
-#endif
-  if (verify_plan) {
-    const verify::VerifyReport report =
-        verify::VerifyPlan(*plan, *this, &scenarios);
-    if (!report.ok()) {
-      return util::Status::Internal(util::StrFormat(
-          "CompiledSession::PlanBatch: freshly compiled plan failed "
-          "verification with %zu error finding(s); first: %s",
-          report.num_errors(), report.FirstError()->ToString().c_str()));
-    }
-  }
+  // cache (and gets replayed indefinitely). A failure here is a planner
+  // bug, not a caller error — hence Internal.
+  COBRA_RETURN_IF_ERROR(Audit(
+      options.verify_plans, util::Status::Internal,
+      "CompiledSession::PlanBatch: freshly compiled plan",
+      [&] { return verify::VerifyPlan(*plan, *this, &scenarios); }));
 
   {
     std::unique_lock<std::shared_mutex> lock(plan_mutex_);
@@ -613,55 +753,25 @@ util::Result<BatchAssignReport> CompiledSession::Execute(
         "different (or since-destroyed) CompiledSession");
   }
   const std::size_t n = plan.num_scenarios();
-  const PlanCore& core = *plan.core();
-  const PlanBaseOverlay& overlay = plan.overlay();
+  const std::size_t groups = artifacts_->labels.size();
+  std::vector<double> full(n * groups);
+  std::vector<double> compressed(n * groups);
+  SweepTotals totals;
+  if (!SweepWindow(*this, *plan.core(), plan.overlay(), compressed.data(),
+                   full.data(), &totals, {}, nullptr, deadline)) {
+    return util::Status::DeadlineExceeded(util::StrFormat(
+        "CompiledSession::Execute: deadline passed during the sweep of %zu "
+        "scenario(s)",
+        n));
+  }
 
   BatchAssignReport batch;
   batch.scenario_names = plan.scenario_names();
   batch.engine = plan.engine();
   batch.block_lanes = plan.lanes();
-
-  // The shared sweep core (SweepPlanProgram) fills a scenario-major flat
-  // matrix per side, then the rows are lifted into per-scenario report
-  // vectors.
-  std::vector<std::vector<double>> full_values(n);
-  std::vector<std::vector<double>> compressed_values(n);
-  std::size_t used_threads = 1;
-  auto sweep = [&](const prov::EvalProgram& program,
-                   const ProgramSchedule& schedule,
-                   std::vector<std::vector<double>>* out) {
-    const std::size_t polys = program.NumPolys();
-    std::vector<double> flat(n * polys, 0.0);
-    if (!SweepPlanProgram(core, overlay, program, schedule, flat.data(),
-                          &used_threads, nullptr, deadline)) {
-      return false;
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      (*out)[i].assign(flat.begin() + i * polys,
-                       flat.begin() + (i + 1) * polys);
-    }
-    return true;
-  };
-  const auto expired = [n] {
-    return util::Status::DeadlineExceeded(util::StrFormat(
-        "CompiledSession::Execute: deadline passed during the sweep of %zu "
-        "scenario(s)",
-        n));
-  };
-  util::Timer timer;
-  if (!sweep(artifacts_->sweep_full_program, plan.full_schedule(),
-             &full_values)) {
-    return expired();
-  }
-  batch.full_sweep_seconds = timer.ElapsedSeconds();
-  timer.Reset();
-  if (!sweep(artifacts_->compressed_program, plan.compressed_schedule(),
-             &compressed_values)) {
-    return expired();
-  }
-  batch.compressed_sweep_seconds = timer.ElapsedSeconds();
-  batch.num_threads = used_threads;
-
+  batch.full_sweep_seconds = totals.full_seconds;
+  batch.compressed_sweep_seconds = totals.compressed_seconds;
+  batch.num_threads = totals.workers;
   batch.aggregate.repetitions = n;
   batch.aggregate.full_seconds =
       batch.full_sweep_seconds / static_cast<double>(n);
@@ -671,8 +781,10 @@ util::Result<BatchAssignReport> CompiledSession::Execute(
   batch.reports.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     AssignReport report;
-    report.delta = DeltaFromValues(artifacts_->labels, full_values[i],
-                                   compressed_values[i]);
+    report.delta = DeltaFromValues(
+        artifacts_->labels,
+        std::span<const double>(full).subspan(i * groups, groups),
+        std::span<const double>(compressed).subspan(i * groups, groups));
     report.timing = batch.aggregate;
     report.timing.repetitions = 1;
     report.full_size = artifacts_->full_monomials;
@@ -680,75 +792,6 @@ util::Result<BatchAssignReport> CompiledSession::Execute(
     batch.reports.push_back(std::move(report));
   }
   return batch;
-}
-
-bool CompiledSession::SweepPlanProgram(const PlanCore& core,
-                                       const PlanBaseOverlay& overlay,
-                                       const prov::EvalProgram& program,
-                                       const ProgramSchedule& schedule,
-                                       double* flat,
-                                       std::size_t* used_threads,
-                                       const std::uint8_t* block_mask,
-                                       SweepDeadline deadline) const {
-  // Every scenario is a small override list; the full side evaluates the
-  // meta-indirected program under the shared compressed-side base, so
-  // nothing pool-sized is copied per scenario. The blocked engine
-  // additionally groups scenarios into blocks of `lanes` lanes: one scan of
-  // the compiled arrays serves the whole block, with the overlay's
-  // per-block override-union table patching individual lanes. Work runs as
-  // the core's (scenario-block × poly-range) tiles on the schedule's
-  // workers; disjoint tiles touch disjoint output cells and every
-  // polynomial is summed whole by one thread, so the sweep is race-free and
-  // its bits do not depend on the schedule. A blocked tile writes `lanes`
-  // adjacent rows of the scenario-major matrix with stride `polys`.
-  const bool use_blocks = core.engine() == BatchOptions::Sweep::kBlocked;
-  const std::size_t lanes = core.lanes();
-  const std::vector<CompiledScenario>& compiled = core.compiled();
-  const std::vector<prov::BlockOverrides>& block_tables =
-      overlay.block_tables;
-  const prov::Valuation& base = *overlay.base;
-  const std::size_t polys = program.NumPolys();
-  const std::vector<std::pair<std::uint32_t, std::uint32_t>>& ranges =
-      schedule.ranges;
-  const std::size_t slices = schedule.slices();
-
-  const std::size_t tasks = core.num_blocks() * slices;
-  // Cancellation: a tile past the deadline is skipped, and so is every tile
-  // after one worker has seen it pass. Tiles already running finish, so a
-  // cancelled sweep stops within one tile per worker.
-  std::atomic<bool> cancelled{false};
-  auto run_task = [&](std::size_t t) {
-    if (deadline != kNoDeadline) {
-      if (cancelled.load()) return;
-      if (std::chrono::steady_clock::now() >= deadline) {
-        cancelled.store(true);
-        return;
-      }
-    }
-    const std::size_t block = t / slices;
-    // Early-exit mask (streaming queries): a pruned block's tiles are
-    // no-ops, its rows stay untouched. Workers still claim the task ids —
-    // the test is one load, far cheaper than compacting the tile list.
-    if (block_mask != nullptr && block_mask[block] == 0) return;
-    const auto [begin, end] = ranges[t % slices];
-    const std::size_t i0 = block * lanes;
-    if (use_blocks) {
-      program.EvalRangeBlocked(base, block_tables[block], begin, end,
-                               flat + i0 * polys, polys);
-    } else {
-      const std::vector<prov::VarOverride>& ov = compiled[i0].overrides;
-      program.EvalRangeWithOverrides(base, ov.data(), ov.size(), begin, end,
-                                     flat + i0 * polys);
-    }
-  };
-  const std::size_t workers = schedule.workers;
-  *used_threads = std::max(*used_threads, workers);
-  if (workers <= 1) {
-    for (std::size_t t = 0; t < tasks; ++t) run_task(t);
-  } else {
-    SweepPool::Get().Run(tasks, workers, run_task);
-  }
-  return !cancelled.load();
 }
 
 util::Result<GridAssignReport> CompiledSession::AssignGrid(
@@ -785,12 +828,11 @@ util::Result<GridAssignReport> CompiledSession::AssignGrid(
   grid.engine = core->engine();
   grid.block_lanes = core->lanes();
 
-  const std::size_t polys_full = artifacts_->sweep_full_program.NumPolys();
-  const std::size_t polys_comp = artifacts_->compressed_program.NumPolys();
-  grid.full_values.assign(bases.size() * n * polys_full, 0.0);
-  grid.compressed_values.assign(bases.size() * n * polys_comp, 0.0);
+  const std::size_t window = n * grid.num_groups;
+  grid.full_values.assign(bases.size() * window, 0.0);
+  grid.compressed_values.assign(bases.size() * window, 0.0);
 
-  std::size_t used_threads = 1;
+  SweepTotals totals;
 
   for (std::size_t b = 0; b < bases.size(); ++b) {
     // Materialize (or fetch) the per-base overlay. Bases after the first
@@ -816,20 +858,13 @@ util::Result<GridAssignReport> CompiledSession::AssignGrid(
       grid.overlay_seconds += overlay_timer.ElapsedSeconds();
     }
 
-    util::Timer timer;
-    SweepPlanProgram(*core, *overlay, artifacts_->sweep_full_program,
-                     core->full_schedule(),
-                     grid.full_values.data() + b * n * polys_full,
-                     &used_threads);
-    grid.full_sweep_seconds += timer.ElapsedSeconds();
-    timer.Reset();
-    SweepPlanProgram(*core, *overlay, artifacts_->compressed_program,
-                     core->compressed_schedule(),
-                     grid.compressed_values.data() + b * n * polys_comp,
-                     &used_threads);
-    grid.compressed_sweep_seconds += timer.ElapsedSeconds();
+    SweepWindow(*this, *core, *overlay,
+                grid.compressed_values.data() + b * window,
+                grid.full_values.data() + b * window, &totals);
   }
-  grid.num_threads = used_threads;
+  grid.full_sweep_seconds = totals.full_seconds;
+  grid.compressed_sweep_seconds = totals.compressed_seconds;
+  grid.num_threads = totals.workers;
 
   // Deterministic fixed-order reduction: cells are visited in (base,
   // scenario, group) order regardless of how the sweeps were threaded.
@@ -980,21 +1015,11 @@ util::Result<SweepSummary> CompiledSession::AssignStream(
 
   // Trust boundary, mirroring PlanBatch: audit the generator spec (and,
   // below, the first chunk's freshly compiled plan) before a million-row
-  // sweep replays it. Always in debug builds, opt-in via `verify_plans`.
-#ifdef NDEBUG
-  const bool audit = options.batch.verify_plans;
-#else
-  const bool audit = true;
-#endif
-  if (audit) {
-    const verify::VerifyReport report = verify::VerifySource(source);
-    if (!report.ok()) {
-      return util::Status::InvalidArgument(util::StrFormat(
-          "AssignStream: scenario source failed verification with %zu "
-          "error finding(s); first: %s",
-          report.num_errors(), report.FirstError()->ToString().c_str()));
-    }
-  }
+  // sweep replays it.
+  COBRA_RETURN_IF_ERROR(Audit(options.batch.verify_plans,
+                              util::Status::InvalidArgument,
+                              "AssignStream: scenario source",
+                              [&] { return verify::VerifySource(source); }));
 
   SweepSummary summary;
   summary.source_size = source.size();
@@ -1019,11 +1044,6 @@ util::Result<SweepSummary> CompiledSession::AssignStream(
       FingerprintBase(*base, artifacts_->frozen_pool_size);
   std::vector<double> base_comp;
   artifacts_->compressed_program.Eval(*base, &base_comp);
-
-  const prov::EvalProgram& sweep_full = artifacts_->sweep_full_program;
-  const prov::EvalProgram& compressed = artifacts_->compressed_program;
-  const std::size_t polys_full = sweep_full.NumPolys();
-  const std::size_t polys_comp = compressed.NumPolys();
 
   auto metric_of = [&](const double* comp_row) -> double {
     switch (query.metric) {
@@ -1068,9 +1088,8 @@ util::Result<SweepSummary> CompiledSession::AssignStream(
   std::vector<double> full_flat;
   std::vector<double> comp_flat;
   std::vector<double> metrics;
-  std::vector<std::uint8_t> need_full;
-  std::vector<std::uint8_t> mask;
-  std::size_t used_threads = 1;
+  std::vector<std::uint8_t> full_computed;
+  SweepTotals totals;
   util::Timer timer;
 
   std::uint64_t begin = 0;
@@ -1100,121 +1119,79 @@ util::Result<SweepSummary> CompiledSession::AssignStream(
         core.MakeOverlay(base, &base_fp);
     summary.plan_seconds += timer.ElapsedSeconds();
 
-    if (audit && summary.chunks == 0) {
-      const std::shared_ptr<const BatchPlan> first_plan =
-          BatchPlan::FromParts(*core_result, overlay);
-      const verify::VerifyReport report =
-          verify::VerifyPlan(*first_plan, *this, &chunk);
-      if (!report.ok()) {
-        return util::Status::Internal(util::StrFormat(
-            "AssignStream: freshly compiled first-chunk plan failed "
-            "verification with %zu error finding(s); first: %s",
-            report.num_errors(), report.FirstError()->ToString().c_str()));
-      }
+    if (summary.chunks == 0) {
+      COBRA_RETURN_IF_ERROR(Audit(
+          options.batch.verify_plans, util::Status::Internal,
+          "AssignStream: freshly compiled first-chunk plan", [&] {
+            return verify::VerifyPlan(
+                *BatchPlan::FromParts(*core_result, overlay), *this, &chunk);
+          }));
     }
 
-    // The compressed side always runs in full: it IS the metric, and
-    // COBRA's premise makes it the cheap side.
-    comp_flat.assign(count * polys_comp, 0.0);
-    timer.Reset();
-    SweepPlanProgram(core, *overlay, compressed, core.compressed_schedule(),
-                     comp_flat.data(), &used_threads);
-    summary.compressed_sweep_seconds += timer.ElapsedSeconds();
-
-    // Fixed-order metric pass: aggregates and early-exit decisions walk
-    // scenarios in stream order, so every running statistic is
-    // deterministic across thread counts and chunkings.
+    // The full side's selector is the fixed-order metric pass over the
+    // compressed rows: aggregates and early-exit decisions walk scenarios
+    // in stream order, so every running statistic is deterministic across
+    // thread counts and chunkings. kAll needs every full row.
+    comp_flat.assign(count * groups, 0.0);
+    full_flat.assign(count * groups, 0.0);
     metrics.assign(count, 0.0);
-    need_full.assign(count, 1);
+    full_computed.resize(count);
     std::vector<std::uint8_t> keep(
         query.kind == StreamQuery::Kind::kThreshold ? count : 0, 0);
     std::size_t kept_this_chunk = 0;
-    for (std::size_t i = 0; i < count; ++i) {
-      const double* comp_row = comp_flat.data() + i * polys_comp;
-      const double m = metric_of(comp_row);
-      metrics[i] = m;
-      const std::uint64_t ordinal = begin + i;
-      summary.metric_sum += m;
-      if (m < summary.metric_min) {
-        summary.metric_min = m;
-        summary.metric_argmin = ordinal;
-      }
-      if (m > summary.metric_max) {
-        summary.metric_max = m;
-        summary.metric_argmax = ordinal;
-      }
-      for (std::size_t g = 0; g < groups; ++g) {
-        summary.group_min[g] = std::min(summary.group_min[g], comp_row[g]);
-        summary.group_max[g] = std::max(summary.group_max[g], comp_row[g]);
-      }
-      switch (query.kind) {
-        case StreamQuery::Kind::kAll:
-          break;
-        case StreamQuery::Kind::kThreshold: {
-          const bool hit = m >= query.cutoff;
-          if (hit) ++summary.matched;
-          const bool carry =
-              hit && (query.max_entries == 0 ||
-                      summary.entries.size() + kept_this_chunk <
-                          query.max_entries);
-          keep[i] = carry ? 1 : 0;
-          if (carry) ++kept_this_chunk;
-          need_full[i] = carry ? 1 : 0;
-          break;
+    auto select = [&](const double* comp, std::uint8_t* need) {
+      for (std::size_t i = 0; i < count; ++i) {
+        const double* comp_row = comp + i * groups;
+        const double m = metric_of(comp_row);
+        metrics[i] = m;
+        const std::uint64_t ordinal = begin + i;
+        summary.metric_sum += m;
+        if (m < summary.metric_min) {
+          summary.metric_min = m;
+          summary.metric_argmin = ordinal;
         }
-        case StreamQuery::Kind::kTopK: {
-          if (top.size() < query.k) {
-            top.push_back(
-                {ordinal, chunk.scenario(i).name, m, {}, {}});
-            recompute_worst();
-          } else if (m > top[worst].metric) {
-            top[worst] = {ordinal, chunk.scenario(i).name, m, {}, {}};
-            recompute_worst();
-          } else {
-            need_full[i] = 0;
+        if (m > summary.metric_max) {
+          summary.metric_max = m;
+          summary.metric_argmax = ordinal;
+        }
+        for (std::size_t g = 0; g < groups; ++g) {
+          summary.group_min[g] = std::min(summary.group_min[g], comp_row[g]);
+          summary.group_max[g] = std::max(summary.group_max[g], comp_row[g]);
+        }
+        switch (query.kind) {
+          case StreamQuery::Kind::kAll:
+            need[i] = 1;
+            break;
+          case StreamQuery::Kind::kThreshold: {
+            const bool hit = m >= query.cutoff;
+            if (hit) ++summary.matched;
+            const bool carry =
+                hit && (query.max_entries == 0 ||
+                        summary.entries.size() + kept_this_chunk <
+                            query.max_entries);
+            keep[i] = carry ? 1 : 0;
+            if (carry) ++kept_this_chunk;
+            need[i] = keep[i];
+            break;
           }
-          break;
+          case StreamQuery::Kind::kTopK: {
+            if (top.size() < query.k) {
+              top.push_back(
+                  {ordinal, chunk.scenario(i).name, m, {}, {}});
+              recompute_worst();
+              need[i] = 1;
+            } else if (m > top[worst].metric) {
+              top[worst] = {ordinal, chunk.scenario(i).name, m, {}, {}};
+              recompute_worst();
+              need[i] = 1;
+            }
+            break;
+          }
         }
       }
-    }
-
-    // Full side, pruned at block granularity: a block runs iff any of its
-    // lanes still matters to the query.
-    full_flat.assign(count * polys_full, 0.0);
-    timer.Reset();
-    if (query.kind == StreamQuery::Kind::kAll) {
-      SweepPlanProgram(core, *overlay, sweep_full, core.full_schedule(),
-                       full_flat.data(), &used_threads);
-      summary.full_rows_computed += count;
-    } else {
-      const std::size_t lanes = core.lanes();
-      const std::size_t num_blocks = core.num_blocks();
-      mask.assign(num_blocks, 0);
-      bool any = false;
-      for (std::size_t i = 0; i < count; ++i) {
-        if (need_full[i] != 0) {
-          mask[i / lanes] = 1;
-          any = true;
-        }
-      }
-      std::uint64_t rows_run = 0;
-      for (std::size_t b = 0; b < num_blocks; ++b) {
-        if (mask[b] != 0) {
-          rows_run += std::min(lanes, count - b * lanes);
-        }
-      }
-      summary.full_rows_computed += rows_run;
-      summary.full_rows_skipped += count - rows_run;
-      if (any) {
-        SweepPlanProgram(core, *overlay, sweep_full, core.full_schedule(),
-                         full_flat.data(), &used_threads, mask.data());
-      }
-      // Report rows the consumer may read: only surviving blocks' rows.
-      for (std::size_t i = 0; i < count; ++i) {
-        need_full[i] = mask[i / lanes];
-      }
-    }
-    summary.full_sweep_seconds += timer.ElapsedSeconds();
+    };
+    SweepWindow(*this, core, *overlay, comp_flat.data(), full_flat.data(),
+                &totals, select, full_computed.data());
 
     switch (query.kind) {
       case StreamQuery::Kind::kThreshold:
@@ -1224,10 +1201,10 @@ util::Result<SweepSummary> CompiledSession::AssignStream(
           entry.index = begin + i;
           entry.name = chunk.scenario(i).name;
           entry.metric = metrics[i];
-          entry.full.assign(full_flat.begin() + i * polys_full,
-                            full_flat.begin() + (i + 1) * polys_full);
-          entry.compressed.assign(comp_flat.begin() + i * polys_comp,
-                                  comp_flat.begin() + (i + 1) * polys_comp);
+          entry.full.assign(full_flat.begin() + i * groups,
+                            full_flat.begin() + (i + 1) * groups);
+          entry.compressed.assign(comp_flat.begin() + i * groups,
+                                  comp_flat.begin() + (i + 1) * groups);
           summary.entries.push_back(std::move(entry));
         }
         break;
@@ -1239,10 +1216,10 @@ util::Result<SweepSummary> CompiledSession::AssignStream(
           if (!e.full.empty()) continue;
           if (e.index < begin || e.index >= begin + count) continue;
           const std::size_t i = static_cast<std::size_t>(e.index - begin);
-          e.full.assign(full_flat.begin() + i * polys_full,
-                        full_flat.begin() + (i + 1) * polys_full);
-          e.compressed.assign(comp_flat.begin() + i * polys_comp,
-                              comp_flat.begin() + (i + 1) * polys_comp);
+          e.full.assign(full_flat.begin() + i * groups,
+                        full_flat.begin() + (i + 1) * groups);
+          e.compressed.assign(comp_flat.begin() + i * groups,
+                              comp_flat.begin() + (i + 1) * groups);
         }
         break;
       case StreamQuery::Kind::kAll:
@@ -1261,7 +1238,7 @@ util::Result<SweepSummary> CompiledSession::AssignStream(
       view.num_groups = groups;
       view.names = &names;
       view.metrics = metrics.data();
-      view.full_computed = need_full.data();
+      view.full_computed = full_computed.data();
       view.full = full_flat.data();
       view.compressed = comp_flat.data();
       if (!consumer(view)) {
@@ -1271,7 +1248,11 @@ util::Result<SweepSummary> CompiledSession::AssignStream(
     }
   }
 
-  summary.num_threads = used_threads;
+  summary.num_threads = totals.workers;
+  summary.full_rows_computed = totals.full_rows_computed;
+  summary.full_rows_skipped = totals.full_rows_skipped;
+  summary.full_sweep_seconds = totals.full_seconds;
+  summary.compressed_sweep_seconds = totals.compressed_seconds;
   if (query.kind == StreamQuery::Kind::kTopK) {
     std::sort(top.begin(), top.end(),
               [](const StreamEntry& a, const StreamEntry& b) {

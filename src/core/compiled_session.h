@@ -473,15 +473,16 @@ class CompiledSession
   /// Evaluates every scenario against every base valuation — the 2-D grid
   /// sweep (one scenario set × many per-user defaults). The shared plan
   /// core (scenario lowering, engine choice, union skeletons, tile
-  /// schedules) is planned once through the plan cache; the inner loop only
-  /// materializes the cheap per-base overlay (pool-sized base + block-table
-  /// value rows) and runs the existing blocked/sparse kernels straight into
-  /// the grid's flat result matrices. Per-cell results are bit-identical to
-  /// the per-base `AssignBatch` loop; the report's error aggregates use a
-  /// deterministic fixed-order reduction. Bases already cached as overlays
-  /// are reused (counted in `overlay_cache_hits`); the grid itself inserts
-  /// only the first base's plan, so a 10^4-base sweep cannot flush the
-  /// serving cache.
+  /// schedules) is planned once through the plan cache; the loop over the
+  /// bases only materializes each base's cheap overlay (pool-sized base +
+  /// block-table value rows) and makes one sweep of the window — the same
+  /// per-window sweep `Execute` and `AssignStream` run — straight into that
+  /// base's slice of the grid's flat result matrices. Per-cell results are
+  /// bit-identical to the per-base `AssignBatch` loop; the report's error
+  /// aggregates use a deterministic fixed-order reduction. Bases already
+  /// cached as overlays are reused (counted in `overlay_cache_hits`); the
+  /// grid itself inserts only the first base's plan, so a 10^4-base sweep
+  /// cannot flush the serving cache.
   util::Result<GridAssignReport> AssignGrid(
       const ScenarioSet& scenarios, std::span<const prov::Valuation> bases,
       const BatchOptions& options = {}) const;
@@ -492,10 +493,13 @@ class CompiledSession
   /// planned by `PlanCore::Create` like a batch (same lowering, same
   /// block-override tables, same tile schedules as `AssignBatch`, with the
   /// engine pinned once for the whole stream by `PlanCore::PinOptions`),
-  /// swept through the shared kernels on one shared pool-sized base, folded
-  /// into the running `SweepSummary`, and handed to `consumer` before the
-  /// next block is generated. Peak memory is bounded by the window — a
-  /// 10^8-scenario grid sweeps in the same footprint as a 10^4 one.
+  /// swept on one shared pool-sized base by the same per-window sweep
+  /// `Execute` runs, folded into the running `SweepSummary`, and handed to
+  /// `consumer` before the next block is generated. The sweep runs the
+  /// compressed side first; the query's fixed-order metric pass over those
+  /// rows then picks the blocks whose full side runs (every block under
+  /// kAll). Peak memory is bounded by the window — a 10^8-scenario grid
+  /// sweeps in the same footprint as a 10^4 one.
   ///
   /// Equivalence contract: under `StreamQuery::Kind::kAll`, the full and
   /// compressed rows delivered for scenarios [0, P) are bit-identical to
@@ -544,7 +548,10 @@ class CompiledSession
   /// Executes a compiled plan: the execute-many half. The plan must have
   /// been built by this session's PlanBatch (rejected with InvalidArgument
   /// otherwise); it may be executed any number of times, concurrently, and
-  /// results are bit-identical to the equivalent AssignBatch call. Once
+  /// results are bit-identical to the equivalent AssignBatch call. The
+  /// plan is one window of the per-window sweep `AssignGrid` and
+  /// `AssignStream` also run: the compressed side, then the full side,
+  /// into two scenario-major matrices the reports are built from. Once
   /// `deadline` has passed, the sweep skips its remaining tiles and the
   /// call returns `DeadlineExceeded` — never partial values.
   util::Result<BatchAssignReport> Execute(
@@ -688,28 +695,6 @@ class CompiledSession
       const ScenarioSet& scenarios, const prov::Valuation& base_meta_valuation,
       const BaseFingerprint& base_fingerprint, const BatchOptions& options,
       SweepDeadline deadline) const;
-
-  /// Runs the sparse/blocked sweep of one program side for every scenario,
-  /// writing the scenario-major result matrix (num_scenarios ×
-  /// program.NumPolys(), row-major) to `flat` — the execution core shared
-  /// by Execute(), AssignGrid() and AssignStream(). Performs exactly the
-  /// same tile dispatch and kernel calls regardless of the caller, so grid
-  /// and stream cells are bit-identical to batch results.
-  /// `used_threads` is raised (never lowered) to the worker count used.
-  /// `block_mask`, when non-null, has one byte per scenario block; a block
-  /// whose byte is 0 is skipped entirely (its rows in `flat` are left
-  /// untouched) — the streaming early-exit hook. Computed blocks run the
-  /// identical kernel path, so masking never perturbs surviving rows.
-  /// Every tile first checks `deadline` (one comparison when it is
-  /// kNoDeadline); once any worker sees it has passed, every remaining tile
-  /// is skipped and the sweep returns false, leaving `flat` partial.
-  /// Returns true when every tile ran.
-  bool SweepPlanProgram(const PlanCore& core, const PlanBaseOverlay& overlay,
-                        const prov::EvalProgram& program,
-                        const ProgramSchedule& schedule, double* flat,
-                        std::size_t* used_threads,
-                        const std::uint8_t* block_mask = nullptr,
-                        SweepDeadline deadline = kNoDeadline) const;
 
   /// Cached cores are bounded, as are the overlays attached to each one; a
   /// server cycling through more distinct scenario sets (or bases) than

@@ -121,8 +121,8 @@ ResultDelta CompareResults(const prov::EvalProgram& full_program,
 }
 
 ResultDelta DeltaFromValues(const std::vector<std::string>& labels,
-                            const std::vector<double>& full_values,
-                            const std::vector<double>& compressed_values) {
+                            std::span<const double> full_values,
+                            std::span<const double> compressed_values) {
   COBRA_CHECK_MSG(full_values.size() == compressed_values.size() &&
                       full_values.size() == labels.size(),
                   "DeltaFromValues: group count mismatch");

@@ -2,6 +2,7 @@
 #define COBRA_CORE_METRICS_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -103,10 +104,10 @@ ResultDelta CompareResults(const CompiledSession& snapshot,
 
 /// Builds the delta report from already-evaluated per-group values. The
 /// batched scenario engine evaluates many scenarios in one sweep and calls
-/// this per scenario.
+/// this per scenario, on that scenario's rows of the sweep's matrices.
 ResultDelta DeltaFromValues(const std::vector<std::string>& labels,
-                            const std::vector<double>& full_values,
-                            const std::vector<double>& compressed_values);
+                            std::span<const double> full_values,
+                            std::span<const double> compressed_values);
 
 /// Sensitivity ranking: which hypothetical parameter moves the answers
 /// most? For every variable v in `polys`, the impact is

@@ -422,10 +422,17 @@ WireResponse CobraServer::RunAssignBatch(const PendingRequest& pending) {
                          "deadline expired before execution started");
   }
 
-  // Coalesce identical concurrent batches. The key is the scenario set's
-  // content fingerprint plus the snapshot version — requests pinned to
-  // different versions never share a result.
-  const core::PlanFingerprint fp = core::FingerprintScenarios(scenarios);
+  // Plan first (usually a plan-cache hit), then coalesce identical
+  // concurrent batches. The key is the plan's scenario-set fingerprint, so
+  // the set is hashed once per request, plus the snapshot version, so
+  // requests pinned to different versions never share a result.
+  util::Result<std::shared_ptr<const core::BatchPlan>> plan =
+      snapshot.session->PlanBatch(scenarios);
+  if (!plan.ok()) {
+    return ErrorResponse(ToWireCode(plan.status().code()),
+                         plan.status().message());
+  }
+  const core::PlanFingerprint& fp = (*plan)->fingerprint();
   const auto key =
       std::make_pair(std::make_pair(fp.lo, fp.hi), snapshot.version);
   for (;;) {
@@ -461,8 +468,7 @@ WireResponse CobraServer::RunAssignBatch(const PendingRequest& pending) {
     COBRA_FAULT_STALL(FaultPoint::kSlowExecute);
     WireResponse response;
     util::Result<core::BatchAssignReport> report =
-        snapshot.session->AssignBatch(scenarios, core::BatchOptions{},
-                                      pending.deadline);
+        snapshot.session->Execute(**plan, pending.deadline);
     if (report.ok()) {
       response.snapshot_version = snapshot.version;
       response.labels = snapshot.session->labels();

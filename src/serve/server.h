@@ -165,8 +165,8 @@ class CobraServer {
   /// Executes one queued request and writes its response.
   void Execute(PendingRequest& pending);
 
-  /// The AssignBatch path: coalescing and deadline checks around one
-  /// whole-batch plan and sweep.
+  /// The AssignBatch path: plans the whole batch, coalesces on the plan's
+  /// scenario fingerprint, and runs one sweep under the deadline.
   WireResponse RunAssignBatch(const PendingRequest& pending);
 
   /// I/O-thread write under the connection's write lock: never blocks.

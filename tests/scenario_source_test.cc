@@ -368,6 +368,84 @@ TEST_F(ScenarioSourceTest, ThresholdMatchesFilterAndCapsEntries) {
   EXPECT_EQ(capped.entries[1].index, expected[1]);
 }
 
+// A pruning query's marks are widened to whole lane blocks by the sweep
+// driver: on the blocked engine at 8 and 16 lanes, with a window that
+// splits blocks and on 1 and 4 threads, every flagged row is bit-identical
+// to the kAll stream's row, and every row is counted computed or skipped.
+TEST_F(ScenarioSourceTest, PrunedBlockedStreamsFlagWholeBlocksMatchingKAll) {
+  auto source = CartesianSource::Create(
+                    {LinSpace(meta_names_[0], 0.5, 1.5, 16),
+                     LinSpace(meta_names_[1], 0.5, 1.5, 16)})
+                    .ValueOrDie();
+  for (std::size_t lanes : {8u, 16u}) {
+    for (std::size_t threads : {1u, 4u}) {
+      SCOPED_TRACE("lanes=" + std::to_string(lanes) +
+                   " threads=" + std::to_string(threads));
+      StreamOptions all;
+      all.batch.sweep = BatchOptions::Sweep::kBlocked;
+      all.batch.block_lanes = lanes;
+      all.batch.num_threads = threads;
+      all.batch.stream_block_scenarios = 37;  // not a multiple of lanes
+      const StreamedRows reference = StreamAll(*source, all.batch);
+      ASSERT_EQ(reference.full.size(), 256u);
+      const SweepSummary unpruned =
+          snapshot_->AssignStream(*source, all).ValueOrDie();
+
+      StreamOptions topk = all;
+      topk.query.kind = StreamQuery::Kind::kTopK;
+      topk.query.k = 5;
+      StreamOptions threshold = all;
+      threshold.query.kind = StreamQuery::Kind::kThreshold;
+      threshold.query.cutoff =
+          (unpruned.metric_min + unpruned.metric_max) / 2.0;
+      for (const StreamOptions& options : {topk, threshold}) {
+        SCOPED_TRACE(options.query.kind == StreamQuery::Kind::kTopK
+                         ? "kTopK"
+                         : "kThreshold");
+        std::uint64_t flagged = 0;
+        auto check = [&](const StreamBlockView& view) {
+          for (std::size_t i = 0; i < view.count; ++i) {
+            EXPECT_EQ(view.full_computed[i],
+                      view.full_computed[i - i % lanes])
+                << "row " << view.begin + i << " splits its lane block";
+            if (view.full_computed[i] == 0) continue;
+            ++flagged;
+            const std::size_t ordinal =
+                static_cast<std::size_t>(view.begin + i);
+            for (std::size_t g = 0; g < view.num_groups; ++g) {
+              EXPECT_TRUE(SameBits(view.full[i * view.num_groups + g],
+                                   reference.full[ordinal][g]))
+                  << "scenario " << ordinal << " group " << g;
+              EXPECT_TRUE(SameBits(view.compressed[i * view.num_groups + g],
+                                   reference.compressed[ordinal][g]))
+                  << "scenario " << ordinal << " group " << g;
+            }
+          }
+          return true;
+        };
+        const SweepSummary summary =
+            snapshot_->AssignStream(*source, options, check).ValueOrDie();
+        EXPECT_EQ(summary.block_lanes, lanes);
+        EXPECT_EQ(summary.scenarios, 256u);
+        EXPECT_EQ(summary.full_rows_computed + summary.full_rows_skipped,
+                  summary.scenarios);
+        EXPECT_EQ(summary.full_rows_computed, flagged);
+        EXPECT_GT(summary.full_rows_skipped, 0u);
+        ASSERT_FALSE(summary.entries.empty());
+        for (const StreamEntry& entry : summary.entries) {
+          const std::vector<double>& want =
+              reference.full[static_cast<std::size_t>(entry.index)];
+          ASSERT_EQ(entry.full.size(), want.size());
+          for (std::size_t g = 0; g < want.size(); ++g) {
+            EXPECT_TRUE(SameBits(entry.full[g], want[g]))
+                << "entry " << entry.index << " group " << g;
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST_F(ScenarioSourceTest, SampledSweepIsThreadCountInvariant) {
   auto source = SampledSource::Create(
                     {RangeAxis{meta_names_[0], 0.8, 1.2},
